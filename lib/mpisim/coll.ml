@@ -160,15 +160,17 @@ let allreduce ~op (data : float array) : float array =
     let newrank =
       if me < 2 * rem then
         if me land 1 = 0 then begin
-          Reliable.send ~dst:(me + 1) ~tag:tag_allreduce (Sim.Floats !acc);
+          (* a private copy this rank never touches again *)
+          Reliable.send_owned ~dst:(me + 1) ~tag:tag_allreduce
+            (Sim.Floats !acc);
           -1
         end
         else begin
           let other = Reliable.recv_floats ~src:(me - 1) ~tag:tag_allreduce in
-          (* the sender is the lower rank: its data goes on the left *)
-          let merged = Array.copy other in
-          combine op merged !acc;
-          acc := merged;
+          (* the sender is the lower rank: its data goes on the left;
+             the received array is ours to combine into *)
+          combine op other !acc;
+          acc := other;
           me / 2
         end
       else me - rem
@@ -178,13 +180,13 @@ let allreduce ~op (data : float array) : float array =
        let mask = ref 1 in
        while !mask < pof2 do
          let partner = real (newrank lxor !mask) in
+         (* copying: this rank reads [acc] again below *)
          Reliable.send ~dst:partner ~tag:tag_allreduce (Sim.Floats !acc);
          let other = Reliable.recv_floats ~src:partner ~tag:tag_allreduce in
          if newrank land !mask <> 0 then begin
            (* the partner's block sits to our left *)
-           let merged = Array.copy other in
-           combine op merged !acc;
-           acc := merged
+           combine op other !acc;
+           acc := other
          end
          else combine op !acc other;
          mask := !mask * 2
@@ -192,7 +194,10 @@ let allreduce ~op (data : float array) : float array =
     if me < 2 * rem then
       if me land 1 = 0 then
         acc := Reliable.recv_floats ~src:(me + 1) ~tag:tag_allreduce
-      else Reliable.send ~dst:(me - 1) ~tag:tag_allreduce (Sim.Floats !acc);
+      else
+        (* copying: this rank returns [acc] too, and the two results
+           must not alias *)
+        Reliable.send ~dst:(me - 1) ~tag:tag_allreduce (Sim.Floats !acc);
     !acc
   end
 
@@ -255,7 +260,8 @@ let allgatherv_doubling ~counts ~offsets ~(out : float array) =
       Array.blit out offsets.(b) buf !off counts.(b);
       off := !off + counts.(b)
     done;
-    Reliable.send ~dst ~tag:tag_ring (Sim.Floats buf);
+    (* [buf] was packed for this send alone *)
+    Reliable.send_owned ~dst ~tag:tag_ring (Sim.Floats buf);
     let incoming = Reliable.recv_floats ~src ~tag:tag_ring in
     let off = ref 0 in
     for j = 0 to nblocks - 1 do

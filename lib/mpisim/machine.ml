@@ -212,15 +212,17 @@ let sparc20_cluster =
   (* the inter-node record is constant; intra-node records differ only
      by node id, so they are built once per node and cached.  The
      Ethernet channel is -1 so it can never collide with a node id
-     when [with_procs] scales the cluster out. *)
+     when [with_procs] scales the cluster out.  Like every [link], this
+     one runs once per message and must not allocate: the cache is read
+     with [Hashtbl.find], not the [Some]-building [find_opt]. *)
   let inter = { latency = 800e-6; bandwidth = mbytes 1.0; channel = Some (-1) } in
   let intra : (int, link) Hashtbl.t = Hashtbl.create 8 in
   let link src dst =
     if node src = node dst then (
       let nd = node src in
-      match Hashtbl.find_opt intra nd with
-      | Some l -> l
-      | None ->
+      match Hashtbl.find intra nd with
+      | l -> l
+      | exception Not_found ->
           let l = { latency = 4e-6; bandwidth = mbytes 100.; channel = Some nd } in
           Hashtbl.add intra nd l;
           l)
@@ -284,7 +286,8 @@ let beowulf =
    link bandwidth grows by the radix per tier ("fat" links), which is
    what keeps the bisection usable as P grows.  Links are computed on
    demand -- one integer-division loop to find the LCA tier -- and the
-   per-switch records are cached, so nothing O(P^2) is ever built. *)
+   per-switch records are cached, so nothing O(P^2) is ever built.  A
+   cached lookup allocates nothing ([Hashtbl.find], not [find_opt]). *)
 let fattree ?(radix = 16) ?(levels = 3) () =
   if radix < 2 then invalid_arg "fattree: radix must be at least 2";
   if levels < 1 || levels > 10 then
@@ -318,9 +321,9 @@ let fattree ?(radix = 16) ?(levels = 3) () =
       done;
       let t = !tier in
       let ch = offset.(t) + (src / pow.(t)) in
-      match Hashtbl.find_opt cache ch with
-      | Some l -> l
-      | None ->
+      match Hashtbl.find cache ch with
+      | l -> l
+      | exception Not_found ->
           let l =
             {
               (* two hops per tier crossed, up and back down *)

@@ -100,6 +100,9 @@ let protocol_send ~dst ~tag data =
     | None -> false
   in
   let rec attempt n timeout =
+    (* the envelope is private to the protocol and the receiving side
+       only reads it ([open_envelope] copies the body out), so every
+       transmission hands it over without a copy *)
     Sim.send_acked ~dst ~tag ~ack_tag:atag ~seq env;
     if not (await timeout) then begin
       if n >= max_retries then
@@ -155,6 +158,11 @@ let rec protocol_recv_any ~tag =
 let send ~dst ~tag data =
   if Sim.reliable_on () then protocol_send ~dst ~tag data
   else Sim.send ~dst ~tag data
+
+(* The reliable path already sends a fresh envelope, never [data]. *)
+let send_owned ~dst ~tag data =
+  if Sim.reliable_on () then protocol_send ~dst ~tag data
+  else Sim.send_owned ~dst ~tag data
 
 let recv ~src ~tag =
   if Sim.reliable_on () then protocol_recv ~src ~tag else Sim.recv ~src ~tag

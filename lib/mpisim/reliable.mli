@@ -24,6 +24,11 @@ val send : dst:int -> tag:int -> Sim.payload -> unit
 (** Send with delivery guaranteed or {!Exhausted} raised.  Blocks (in
     virtual time) until the transport acknowledges delivery. *)
 
+val send_owned : dst:int -> tag:int -> Sim.payload -> unit
+(** Like {!send}, for a buffer the sender hands over: it never reads
+    or writes it again and no other rank holds it (see
+    {!Sim.send_owned}). *)
+
 val recv : src:int -> tag:int -> Sim.payload
 (** Receive the next in-sequence message, discarding duplicates. *)
 

@@ -215,7 +215,7 @@ let transpose (m : Dmat.t) : Dmat.t =
     in
     for d = 0 to nprocs - 1 do
       if d <> me && chi d > clo d && m.count > 0 then
-        Rel.send ~dst:d ~tag:tag_transpose (Sim.Floats (pack d))
+        Rel.send_owned ~dst:d ~tag:tag_transpose (Sim.Floats (pack d))
     done;
     if m.count > 0 && chi me > clo me then unpack me (pack me);
     for src = 0 to nprocs - 1 do

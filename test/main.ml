@@ -24,6 +24,7 @@ let () =
       ("mpi", Test_mpi.suite);
       ("codegen", Test_codegen.suite);
       ("apps", Test_apps.suite);
+      ("scale", Test_scale.suite);
       ("load", Test_load.suite);
       ("corpus", Test_corpus.suite);
       ("fuzz", Test_fuzz.suite);

@@ -177,6 +177,183 @@ let allreduce_prop =
           Array.for_all2 (fun a b -> Float.abs (a -. b) < 1e-6) got expected)
         results)
 
+(* --- ownership-transfer sends -------------------------------------------- *)
+
+(* Odd counts, powers of two, and both sides of the ring/doubling
+   switch of [allgatherv] (64 ranks). *)
+let own_procs = [ 1; 2; 3; 5; 7; 8; 17; 65; 70 ]
+let big_machine = Mpisim.Machine.fattree_default
+let bits a = Array.map Int64.bits_of_float a
+let width = 5
+
+(* The combine rule of [Coll], restated for the references below. *)
+let apply_op op a b =
+  match op with
+  | Coll.Sum -> a +. b
+  | Coll.Prod -> a *. b
+  | Coll.Min | Coll.Max ->
+      if Float.is_nan a then b
+      else if Float.is_nan b then a
+      else if op = Coll.Min then Float.min a b
+      else Float.max a b
+  | Coll.Land -> if a <> 0. && b <> 0. then 1. else 0.
+  | Coll.Lor -> if a <> 0. || b <> 0. then 1. else 0.
+
+(* Recursive-doubling allreduce with every send copying and every
+   left-hand combine into a fresh array: the bit-exact reference for
+   [Coll.allreduce], which hands buffers over instead. *)
+let reference_allreduce ~op data =
+  let tag = 77 in
+  let p = Sim.size () and me = Sim.rank () in
+  let combined a b =
+    Array.init (Array.length a) (fun i -> apply_op op a.(i) b.(i))
+  in
+  if p = 1 then Array.copy data
+  else begin
+    let pof2 = ref 1 in
+    while !pof2 * 2 <= p do
+      pof2 := !pof2 * 2
+    done;
+    let pof2 = !pof2 in
+    let rem = p - pof2 in
+    let acc = ref (Array.copy data) in
+    let newrank =
+      if me < 2 * rem then
+        if me land 1 = 0 then begin
+          Sim.send ~dst:(me + 1) ~tag (Sim.Floats !acc);
+          -1
+        end
+        else begin
+          acc := combined (Sim.recv_floats ~src:(me - 1) ~tag) !acc;
+          me / 2
+        end
+      else me - rem
+    in
+    (if newrank >= 0 then
+       let real r = if r < rem then (2 * r) + 1 else r + rem in
+       let mask = ref 1 in
+       while !mask < pof2 do
+         let partner = real (newrank lxor !mask) in
+         Sim.send ~dst:partner ~tag (Sim.Floats !acc);
+         let other = Sim.recv_floats ~src:partner ~tag in
+         acc :=
+           if newrank land !mask <> 0 then combined other !acc
+           else combined !acc other;
+         mask := !mask * 2
+       done);
+    if me < 2 * rem then
+      if me land 1 = 0 then acc := Sim.recv_floats ~src:(me + 1) ~tag
+      else Sim.send ~dst:(me - 1) ~tag (Sim.Floats !acc);
+    !acc
+  end
+
+(* Rank-dependent inputs whose Sum and Prod depend on the bracketing;
+   Min/Max inputs include NaN (the identity a rank with no data sends). *)
+let op_input op p rank =
+  let rng = Random.State.make [| p; rank |] in
+  Array.init width (fun i ->
+      match op with
+      | Coll.Land | Coll.Lor ->
+          let period = if op = Coll.Land then 9 else 11 in
+          if (rank + i) mod period = 0 then 1. else 0.
+      | Coll.Min | Coll.Max when (rank + i) mod 4 = 0 -> Float.nan
+      | Coll.Prod -> 0.5 +. Random.State.float rng 1.
+      | _ -> Random.State.float rng 2e3 -. 1e3)
+
+(* Run [collective] on every rank; each rank snapshots its result and
+   then overwrites the array it got.  The snapshots must equal
+   [expected] bit for bit, and no two ranks' results may be one array:
+   with aliasing, one rank's overwrite would show in another's
+   snapshot or result. *)
+let check_owned what ~p collective expected =
+  let results, _ =
+    Sim.run ~machine:big_machine ~nprocs:p (fun rank ->
+        let res = collective rank in
+        let snap = Array.copy res in
+        Array.fill res 0 (Array.length res) Float.nan;
+        (snap, res))
+  in
+  Array.iteri
+    (fun r (snap, _) ->
+      Alcotest.(check (array int64))
+        (Printf.sprintf "%s P=%d rank=%d" what p r)
+        (bits (expected r)) (bits snap))
+    results;
+  Array.iteri
+    (fun i (_, a) ->
+      Array.iteri
+        (fun j (_, b) ->
+          if i < j && Array.length a > 0 && a == b then
+            Alcotest.failf "%s P=%d: ranks %d and %d return one array" what
+              p i j)
+        results)
+    results
+
+let test_allreduce_owned () =
+  List.iter
+    (fun p ->
+      List.iter
+        (fun (op, name) ->
+          let expected, _ =
+            Sim.run ~machine:big_machine ~nprocs:p (fun rank ->
+                reference_allreduce ~op (op_input op p rank))
+          in
+          check_owned ("allreduce " ^ name) ~p
+            (fun rank -> Coll.allreduce ~op (op_input op p rank))
+            (fun r -> expected.(r)))
+        [
+          (Coll.Sum, "sum");
+          (Coll.Prod, "prod");
+          (Coll.Min, "min");
+          (Coll.Max, "max");
+          (Coll.Land, "land");
+          (Coll.Lor, "lor");
+        ])
+    own_procs
+
+let test_reduce_bcast_owned () =
+  List.iter
+    (fun p ->
+      (* small integers: exact under any bracketing *)
+      let input rank =
+        Array.init width (fun i -> float_of_int ((rank * 7) + i))
+      in
+      let total =
+        Array.init width (fun i ->
+            let s = ref 0. in
+            for rk = 0 to p - 1 do
+              s := !s +. (input rk).(i)
+            done;
+            !s)
+      in
+      let root = p / 2 in
+      let results, _ =
+        Sim.run ~machine:big_machine ~nprocs:p (fun rank ->
+            Coll.reduce ~root ~op:Coll.Sum (input rank))
+      in
+      Alcotest.(check (array int64))
+        (Printf.sprintf "reduce P=%d" p) (bits total) (bits results.(root));
+      let data = Array.init width (fun i -> Float.pi *. float_of_int (i + 1)) in
+      check_owned "bcast" ~p
+        (fun rank ->
+          Coll.bcast ~root (if rank = root then Array.copy data else [||]))
+        (fun _ -> data))
+    own_procs
+
+let test_allgatherv_owned () =
+  List.iter
+    (fun p ->
+      let counts = Array.init p (fun i -> (i * 5) mod 4) in
+      let block r =
+        Array.init counts.(r) (fun k ->
+            (float_of_int r *. 100.) +. float_of_int k)
+      in
+      let whole = Array.concat (List.init p block) in
+      check_owned "allgatherv" ~p
+        (fun rank -> Coll.allgatherv ~counts (block rank))
+        (fun _ -> whole))
+    own_procs
+
 let suite =
   [
     t "broadcast (all roots)" test_bcast;
@@ -189,4 +366,7 @@ let suite =
     t "barrier synchronizes" test_barrier_synchronizes;
     t "broadcast cost is logarithmic" test_bcast_cost_scales_log;
     QCheck_alcotest.to_alcotest allreduce_prop;
+    t "allreduce hands buffers over safely" test_allreduce_owned;
+    t "reduce and bcast results stay private" test_reduce_bcast_owned;
+    t "allgatherv hands buffers over safely" test_allgatherv_owned;
   ]
