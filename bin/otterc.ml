@@ -31,14 +31,24 @@ let path_of input name =
   else None
 
 (* Distinct process exit codes per failure class, so scripts (and the
-   chaos harness) can tell a network-induced abort from a program bug:
-     0 success          1 run-time error / verify mismatch
-     2 usage            3 deadlock
-     4 internal error   5 receive timeout
-     6 protocol error   7 rank failure (kill, dead peer, retransmission
-                          budget)
-     8 aborted: recovery enabled but the retry budget ran out *)
+   chaos harness) can tell a network-induced abort from a program bug.
+   Every command's --help lists them. *)
 let exit_recovery_aborted = 8
+
+let exits =
+  List.map
+    (fun (code, doc) -> Cmd.Exit.info code ~doc)
+    [
+      (1, "on a compile or run-time error, or a verify mismatch.");
+      (2, "on a usage error: a bad option value, fault spec or run configuration.");
+      (3, "on a deadlock.");
+      (4, "on an internal error (an IR validator violation).");
+      (5, "on a receive timeout.");
+      (6, "on a protocol error.");
+      (7, "on a rank failure: a killed rank, a dead peer or an exhausted retransmission budget.");
+      (exit_recovery_aborted, "when recovery is enabled but its retry budget ran out.");
+    ]
+  @ Cmd.Exit.defaults
 
 let exit_code_of_kind = function
   | Exec.Vm.Ftimeout -> 5
@@ -172,7 +182,7 @@ let compile_cmd =
     Arg.(value & flag & info [ "stats" ]
            ~doc:"Print a compilation report (types, IR, per-pass table).")
   in
-  Cmd.v (Cmd.info "compile" ~doc:"Translate a MATLAB script to SPMD C + MPI.")
+  Cmd.v (Cmd.info "compile" ~exits ~doc:"Translate a MATLAB script to SPMD C + MPI.")
     Term.(const run $ input_arg $ outdir_arg $ stats_arg $ opt_arg
           $ passes_arg $ validate_arg $ dump_after_arg)
 
@@ -401,7 +411,7 @@ let run_cmd =
                  and compute time, message count, bytes and fault counters.")
   in
   Cmd.v
-    (Cmd.info "run"
+    (Cmd.info "run" ~exits
        ~doc:"Compile and execute on a simulated parallel machine.")
     Term.(const run $ input_arg $ procs_arg $ machine_arg $ engine_arg
           $ timing_arg $ stats_arg $ faults_arg $ reliable_arg $ chaos_arg
@@ -437,7 +447,7 @@ let interp_cmd =
     Arg.(value & flag & info [ "t"; "timing" ] ~doc:"Print the modeled time.")
   in
   Cmd.v
-    (Cmd.info "interp" ~doc:"Run the reference interpreter (the oracle).")
+    (Cmd.info "interp" ~exits ~doc:"Run the reference interpreter (the oracle).")
     Term.(const run $ input_arg $ matcom_arg $ timing_arg)
 
 (* --- dump ----------------------------------------------------------------- *)
@@ -477,7 +487,7 @@ let dump_cmd =
              ])
   in
   Cmd.v
-    (Cmd.info "dump" ~doc:"Show intermediate compiler results.")
+    (Cmd.info "dump" ~exits ~doc:"Show intermediate compiler results.")
     Term.(const run $ input_arg $ what_arg $ opt_arg $ passes_arg
           $ validate_arg $ dump_after_arg)
 
@@ -541,7 +551,7 @@ let verify_cmd =
                  (the application suite uses 1e-6).")
   in
   Cmd.v
-    (Cmd.info "verify"
+    (Cmd.info "verify" ~exits
        ~doc:"Check compiled results against the reference interpreter.")
     Term.(const run $ input_arg $ procs_arg $ machine_arg $ engine_arg
           $ vars_arg $ tol_arg $ faults_arg $ reliable_arg $ chaos_arg
@@ -622,7 +632,7 @@ let serve_cmd =
            ~doc:"Ranks each job requests (clamped to the machine).")
   in
   Cmd.v
-    (Cmd.info "serve"
+    (Cmd.info "serve" ~exits
        ~doc:"Space-share a simulated machine across concurrent scripts \
              (multi-tenant scheduler).")
     Term.(const run $ inputs_arg $ serve_procs_arg $ machine_arg $ engine_arg
@@ -696,13 +706,13 @@ let fuzz_cmd =
               reads/writes and full reductions.")
   in
   Cmd.v
-    (Cmd.info "fuzz"
+    (Cmd.info "fuzz" ~exits
        ~doc:"Differential fuzzing: random scripts through every back end.")
     Term.(const run $ cases_arg $ seed_arg $ corpus_arg $ no_cc_arg $ rank3_arg)
 
 let main_cmd =
   let doc = "Otter: a parallel MATLAB compiler (OCaml reproduction)" in
-  Cmd.group (Cmd.info "otterc" ~version:"1.0" ~doc)
+  Cmd.group (Cmd.info "otterc" ~exits ~version:"1.0" ~doc)
     [ compile_cmd; run_cmd; interp_cmd; dump_cmd; verify_cmd; serve_cmd;
       fuzz_cmd ]
 

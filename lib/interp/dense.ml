@@ -41,15 +41,8 @@ let matmul a b =
       (Printf.sprintf "inner dimensions disagree (%dx%d * %dx%d)" a.rows a.cols
          b.rows b.cols);
   let c = create a.rows b.cols in
-  for i = 0 to a.rows - 1 do
-    for j = 0 to b.cols - 1 do
-      let acc = ref 0. in
-      for k = 0 to a.cols - 1 do
-        acc := !acc +. (get a i k *. get b k j)
-      done;
-      set c i j !acc
-    done
-  done;
+  Runtime.Kernels.gemm ~m:a.rows ~k:a.cols ~n:b.cols a.data ~aoff:0 b.data
+    c.data;
   c
 
 let transpose m = init_rc m.cols m.rows (fun i j -> get m j i)

@@ -118,6 +118,14 @@ module Config = struct
     if nprocs < 1 then
       invalid_arg
         (Printf.sprintf "run: need at least one rank, got -p %d" nprocs);
+    if not (ckpt_interval >= 0.) then
+      invalid_arg
+        (Printf.sprintf "run: --ckpt-interval must not be negative, got %g"
+           ckpt_interval);
+    if max_recoveries < 0 then
+      invalid_arg
+        (Printf.sprintf "run: --max-recoveries must not be negative, got %d"
+           max_recoveries);
     (* [chaos] is the one-flag shorthand for "survive the fault model":
        it fills in the recovery knobs the caller left at their
        defaults. *)

@@ -128,7 +128,9 @@ val config :
     no captures, tolerance 1e-9, no checkpointing or recovery, the
     block data layout.  [~chaos:true] is shorthand for "survive the
     fault model": it fills in [ckpt_interval = 0.05] and
-    [max_recoveries = 3] unless those were given explicitly. *)
+    [max_recoveries = 3] unless those were given explicitly.  Raises
+    [Invalid_argument] for fewer than one rank, a negative (or NaN)
+    [ckpt_interval] or a negative [max_recoveries]. *)
 
 val interpret : Config.t -> frontend -> Interp.Eval.outcome
 (** Run the reference interpreter over a front-end-only compile (which

@@ -35,22 +35,6 @@ let cell_rows t = t.dims.(rank t - 2)
 let cell_cols t = t.dims.(rank t - 1)
 let cell_numel t = cell_rows t * cell_cols t
 
-(* Linear offset of a multi-index (leading axis first, all 0-based). *)
-let offset t (idx : int array) =
-  let off = ref 0 in
-  Array.iteri
-    (fun axis i ->
-      if i < 0 || i >= t.dims.(axis) then
-        invalid_arg
-          (Printf.sprintf "tensor index %d out of bounds (extent %d, axis %d)"
-             (i + 1) t.dims.(axis) (axis + 1));
-      off := (!off * t.dims.(axis)) + i)
-    idx;
-  !off
-
-let get t idx = t.data.(offset t idx)
-let set t idx v = t.data.(offset t idx) <- v
-
 let fold f init t = Array.fold_left f init t.data
 
 let equal a b = a.dims = b.dims && a.data = b.data

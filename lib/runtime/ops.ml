@@ -48,15 +48,7 @@ let matmul (a : Dmat.t) (b : Dmat.t) : Dmat.t =
   if a.full || b.full then begin
     if not (a.full && b.full) then locality_error "matmul";
     let c = Dmat.create_full ~rows:m ~cols:n in
-    for i = 0 to m - 1 do
-      for j = 0 to n - 1 do
-        let acc = ref 0. in
-        for kk = 0 to k - 1 do
-          acc := !acc +. (a.data.((i * k) + kk) *. b.data.((kk * n) + j))
-        done;
-        c.data.((i * n) + j) <- !acc
-      done
-    done;
+    Kernels.gemm ~m ~k ~n a.data ~aoff:0 b.data c.data;
     Sim.flops (2. *. float_of_int (m * n * k));
     c
   end
@@ -65,30 +57,14 @@ let matmul (a : Dmat.t) (b : Dmat.t) : Dmat.t =
        and compute the full product everywhere (like the interpreter). *)
     let ad = Dmat.to_dense a and bd = Dmat.to_dense b in
     let cd = Array.make (m * n) 0. in
-    for i = 0 to m - 1 do
-      for j = 0 to n - 1 do
-        let acc = ref 0. in
-        for kk = 0 to k - 1 do
-          acc := !acc +. (ad.((i * k) + kk) *. bd.((kk * n) + j))
-        done;
-        cd.((i * n) + j) <- !acc
-      done
-    done;
+    Kernels.gemm ~m ~k ~n ad ~aoff:0 bd cd;
     Sim.flops (2. *. float_of_int (m * n * k));
     Dmat.of_dense ~rows:m ~cols:n cd
   end
   else if m > 1 then begin
     let bf = Dmat.to_dense b in
     let c = Dmat.create ~rows:m ~cols:n in
-    for li = 0 to c.count - 1 do
-      for j = 0 to n - 1 do
-        let acc = ref 0. in
-        for kk = 0 to k - 1 do
-          acc := !acc +. (a.data.((li * k) + kk) *. bf.((kk * n) + j))
-        done;
-        c.data.((li * n) + j) <- !acc
-      done
-    done;
+    Kernels.gemm ~m:c.count ~k ~n a.data ~aoff:0 bf c.data;
     Sim.flops (2. *. float_of_int (c.count * n * k));
     c
   end
@@ -97,13 +73,7 @@ let matmul (a : Dmat.t) (b : Dmat.t) : Dmat.t =
     let af = Dmat.to_dense a in
     let partial = Array.make n 0. in
     (* hoist the layout dispatch out of the element loops: under the
-       default block layout the global row/column is one add *)
-    let grow =
-      match b.Dmat.layout with
-      | Dmat.Lblock -> fun lr -> b.Dmat.low + lr
-      | Dmat.Lcyclic _ | Dmat.Lgrid _ ->
-          fun lr -> fst (Dmat.global_rc_of_local b (lr * n))
-    in
+       default block layout the global column is one add *)
     let gcol =
       match b.Dmat.layout with
       | Dmat.Lblock -> fun lj -> b.Dmat.low + lj
@@ -111,12 +81,17 @@ let matmul (a : Dmat.t) (b : Dmat.t) : Dmat.t =
     in
     (match b.axis with
     | Dmat.By_rows ->
-        for lr = 0 to b.count - 1 do
-          let i = grow lr in
-          for j = 0 to n - 1 do
-            partial.(j) <- partial.(j) +. (af.(i) *. b.data.((lr * n) + j))
-          done
-        done;
+        (match b.layout with
+        | Dmat.Lblock ->
+            (* the owned rows are contiguous: one row-vector product *)
+            Kernels.gemm ~m:1 ~k:b.count ~n af ~aoff:b.low b.data partial
+        | Dmat.Lcyclic _ | Dmat.Lgrid _ ->
+            for lr = 0 to b.count - 1 do
+              let i = fst (Dmat.global_rc_of_local b (lr * n)) in
+              for j = 0 to n - 1 do
+                partial.(j) <- partial.(j) +. (af.(i) *. b.data.((lr * n) + j))
+              done
+            done);
         Sim.flops (2. *. float_of_int (b.count * n))
     | Dmat.By_cols ->
         (* B is 1 x n, hence k = 1: scalar-style outer case. *)
@@ -238,6 +213,18 @@ let transpose_gather (m : Dmat.t) : Dmat.t =
     Dmat.init_rc ~rows:m.cols ~cols:m.rows (fun i j -> dense.((j * m.cols) + i))
   end
 
+(* C (m x k) += A' * B over the first [rows] rows of A (m wide) and B
+   (k wide): one outer product per row, summed in row order. *)
+let add_outer_products ~rows ~m ~k (a : float array) (b : float array) c =
+  for i = 0 to rows - 1 do
+    for ja = 0 to m - 1 do
+      let av = a.((i * m) + ja) in
+      for jb = 0 to k - 1 do
+        c.((ja * k) + jb) <- c.((ja * k) + jb) +. (av *. b.((i * k) + jb))
+      done
+    done
+  done
+
 (* C = A' * B without materializing the transpose (ML_matmul_t).  Both
    operands share the same row-block distribution over the common
    dimension, so each rank forms the full m x k partial product of its
@@ -260,29 +247,14 @@ let matmul_t (a : Dmat.t) (b : Dmat.t) : Dmat.t =
     let ad = Dmat.to_dense a and bd = Dmat.to_dense b in
     let m = a.cols and k = b.cols and r = a.rows in
     let cd = Array.make (m * k) 0. in
-    for i = 0 to r - 1 do
-      for ja = 0 to m - 1 do
-        let av = ad.((i * m) + ja) in
-        for jb = 0 to k - 1 do
-          cd.((ja * k) + jb) <- cd.((ja * k) + jb) +. (av *. bd.((i * k) + jb))
-        done
-      done
-    done;
+    add_outer_products ~rows:r ~m ~k ad bd cd;
     Sim.flops (2. *. float_of_int (r * m * k));
     Dmat.of_dense ~rows:m ~cols:k cd
   end
   else begin
     let m = a.cols and k = b.cols in
     let partial = Array.make (m * k) 0. in
-    for lr = 0 to a.count - 1 do
-      for ja = 0 to m - 1 do
-        let av = a.data.((lr * m) + ja) in
-        for jb = 0 to k - 1 do
-          partial.((ja * k) + jb) <-
-            partial.((ja * k) + jb) +. (av *. b.data.((lr * k) + jb))
-        done
-      done
-    done;
+    add_outer_products ~rows:a.count ~m ~k a.data b.data partial;
     Sim.flops (2. *. float_of_int (a.count * m * k));
     let full = Coll.allreduce ~op:Coll.Sum partial in
     Dmat.of_dense ~rows:m ~cols:k full
@@ -914,43 +886,32 @@ let nd_set_elem (t : Ndarr.t) (idx : int array) v =
   nd_check_bounds t idx;
   if Ndarr.owner t ~d0:idx.(0) then Ndarr.set_local t idx v
 
-(* result(k0, ..., kn) = t(sels.(0).(k0), ..., sels.(n).(kn)) with
-   replicated 0-based index vectors; the operand is gathered and the
-   result block selected locally, like the matrix [section]. *)
-let nd_section (t : Ndarr.t) (sels : int array array) : Ndarr.t =
+(* Every subscript of [sels] must lie within [t]'s extents, checked
+   axis by axis before anything is read or written (also for an empty
+   selection). *)
+let nd_check_sels what (t : Ndarr.t) (sels : int array array) =
   Array.iteri
     (fun axis s ->
       Array.iter
         (fun i ->
           if i < 0 || i >= t.Ndarr.dims.(axis) then
             failwith
-              (Printf.sprintf
-                 "section: index %d out of bounds (extent %d, axis %d)"
-                 (i + 1) t.Ndarr.dims.(axis) (axis + 1)))
+              (Printf.sprintf "%s: index %d out of bounds (extent %d, axis %d)"
+                 what (i + 1) t.Ndarr.dims.(axis) (axis + 1)))
         s)
-    sels;
+    sels
+
+(* result(k0, ..., kn) = t(sels.(0).(k0), ..., sels.(n).(kn)) with
+   replicated 0-based index vectors; the operand is gathered and each
+   rank fills its own block of the result, like the matrix [section]. *)
+let nd_section (t : Ndarr.t) (sels : int array array) : Ndarr.t =
+  nd_check_sels "section" t sels;
   let dense = Ndarr.to_dense t in
   let rdims = Array.map Array.length sels in
-  let n = Array.length rdims in
-  let src_offset g =
-    (* decode the result's row-major index [g], map each axis through
-       its selector, re-encode against the source extents *)
-    let idx = Array.make n 0 in
-    let rem = ref g in
-    for axis = n - 1 downto 0 do
-      idx.(axis) <- sels.(axis).(!rem mod rdims.(axis));
-      rem := !rem / rdims.(axis)
-    done;
-    let off = ref 0 in
-    for axis = 0 to n - 1 do
-      off := (!off * t.Ndarr.dims.(axis)) + idx.(axis)
-    done;
-    !off
-  in
   let r = if t.Ndarr.full then Ndarr.create_full rdims else Ndarr.create rdims in
-  for li = 0 to Ndarr.local_len r - 1 do
-    r.Ndarr.data.(li) <- dense.(src_offset (Ndarr.global_of_local r li))
-  done;
+  let base = Ndarr.global_of_local r 0 in
+  Kernels.walk ~lo:r.Ndarr.low ~hi:(r.Ndarr.low + r.Ndarr.count) t.Ndarr.dims
+    sels (fun pos off -> r.Ndarr.data.(pos - base) <- dense.(off));
   r
 
 (* t(sels) = value: every rank walks the selected positions in row-major
@@ -958,28 +919,10 @@ let nd_section (t : Ndarr.t) (sels : int array array) : Ndarr.t =
    the value (owner computes, like the matrix section assignment). *)
 let nd_set_section (t : Ndarr.t) (sels : int array array) (value : int -> float)
     =
-  Array.iteri
-    (fun axis s ->
-      Array.iter
-        (fun i ->
-          if i < 0 || i >= t.Ndarr.dims.(axis) then
-            failwith
-              (Printf.sprintf
-                 "section assignment: index %d out of bounds (extent %d, axis \
-                  %d)"
-                 (i + 1) t.Ndarr.dims.(axis) (axis + 1)))
-        s)
-    sels;
-  let rdims = Array.map Array.length sels in
-  let n = Array.length rdims in
-  let total = Array.fold_left ( * ) 1 rdims in
-  let idx = Array.make n 0 in
-  for k = 0 to total - 1 do
-    let rem = ref k in
-    for axis = n - 1 downto 0 do
-      idx.(axis) <- sels.(axis).(!rem mod rdims.(axis));
-      rem := !rem / rdims.(axis)
-    done;
-    if Ndarr.owner t ~d0:idx.(0) then Ndarr.set_local t idx (value k)
-  done;
-  Sim.flops (float_of_int total)
+  nd_check_sels "section assignment" t sels;
+  (* the owned leading slices are one contiguous range of offsets *)
+  let lo = Ndarr.global_of_local t 0 in
+  let hi = lo + Ndarr.local_len t in
+  Kernels.walk t.Ndarr.dims sels (fun k off ->
+      if off >= lo && off < hi then t.Ndarr.data.(off - lo) <- value k);
+  Sim.flops (float_of_int (Array.fold_left (fun n s -> n * Array.length s) 1 sels))

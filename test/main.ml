@@ -28,4 +28,6 @@ let () =
       ("load", Test_load.suite);
       ("corpus", Test_corpus.suite);
       ("fuzz", Test_fuzz.suite);
+      ("kernels", Test_kernels.suite);
+      ("cli", Test_cli.suite);
     ]
