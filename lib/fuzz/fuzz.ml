@@ -4,7 +4,8 @@
    have and all results are compared:
 
      - the reference interpreter (the semantics oracle),
-     - the SPMD VM at P in {1,2,3,4} on two machine models,
+     - the SPMD VM at P in {1,2,3,4} on two machine models, and at
+       P = 4 under the cyclic:2 and grid:2x2 layouts,
      - when a C compiler is available, the emitted sequential C,
        compiled and executed for real, its stdout compared
        numerically against the interpreter's.
@@ -19,6 +20,12 @@ type case_result =
 
 let machines = [ Mpisim.Machine.meiko_cs2; Mpisim.Machine.enterprise_smp ]
 let procs = [ 1; 2; 3; 4 ]
+
+(* The non-default layouts, each run by the threaded-code engine at
+   P = 4 on the Meiko: a layout must leave every captured value as the
+   interpreter has it.  They reach the cyclic row loops and the grid
+   fallbacks of the run-time library. *)
+let layouts = [ Runtime.Dmat.Lcyclic 2; Runtime.Dmat.Lgrid (2, 2) ]
 
 (* --- the compiled-C leg --------------------------------------------------- *)
 
@@ -172,11 +179,16 @@ let check_case ?(use_cc = true) (script : string) : case_result =
              direct IR walker and the threaded-code fast path — so an
              engine-specific semantic bug shows up as a counterexample
              on exactly one of the two labels *)
-          let check_one ~label ~engine c machine nprocs =
+          let check_one ?layout ~label ~engine c machine nprocs =
             let tag = Otter.Config.engine_name engine in
+            let label =
+              match layout with
+              | None -> label
+              | Some l -> label ^ ", " ^ Otter.Config.layout_name l
+            in
             match
               Otter.verify
-                (Otter.config ~engine ~machine ~nprocs ~capture ())
+                (Otter.config ~engine ~machine ~nprocs ~capture ?layout ())
                 c
             with
             | Otter.Verified -> None
@@ -221,6 +233,16 @@ let check_case ?(use_cc = true) (script : string) : case_result =
                         | None -> check_config ~label:"O2" c machine p)
                       None procs)
               None machines
+          in
+          let vm_failure =
+            List.fold_left
+              (fun acc layout ->
+                match acc with
+                | Some _ -> acc
+                | None ->
+                    check_one ~layout ~label:"O2" ~engine:Otter.Config.Etcode c
+                      Mpisim.Machine.meiko_cs2 4)
+              vm_failure layouts
           in
           (* the unoptimized pipeline against the same reference: both
              levels verify against one interpreter run, so any O0-vs-O2

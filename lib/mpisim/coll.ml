@@ -14,19 +14,51 @@
 
 type op = Sum | Prod | Min | Max | Land | Lor
 
+(* MATLAB min/max ignore NaN, so the combine skips NaN operands; ranks
+   with nothing to contribute send NaN as the identity. *)
+let[@inline] min_skip_nan a b =
+  if Float.is_nan a then b else if Float.is_nan b then a else Float.min a b
+
+let[@inline] max_skip_nan a b =
+  if Float.is_nan a then b else if Float.is_nan b then a else Float.max a b
+
+let[@inline] land_ a b = if a <> 0. && b <> 0. then 1. else 0.
+let[@inline] lor_ a b = if a <> 0. || b <> 0. then 1. else 0.
+
 let apply_op op a b =
   match op with
   | Sum -> a +. b
   | Prod -> a *. b
-  | Min | Max ->
-      (* MATLAB min/max ignore NaN, so the combine skips NaN operands;
-         ranks with nothing to contribute send NaN as the identity *)
-      if Float.is_nan a then b
-      else if Float.is_nan b then a
-      else if op = Min then Float.min a b
-      else Float.max a b
-  | Land -> if a <> 0. && b <> 0. then 1. else 0.
-  | Lor -> if a <> 0. || b <> 0. then 1. else 0.
+  | Min -> min_skip_nan a b
+  | Max -> max_skip_nan a b
+  | Land -> land_ a b
+  | Lor -> lor_ a b
+
+(* [acc.(i) <- apply_op op acc.(i) src.(off + i)] for every [i] of
+   [acc].  The op is matched once, outside the loop, so every branch is
+   a plain float loop: no call and no boxed float per element. *)
+let combine_into op (acc : float array) (src : float array) off =
+  let last = Array.length acc - 1 in
+  match op with
+  | Sum -> for i = 0 to last do acc.(i) <- acc.(i) +. src.(off + i) done
+  | Prod -> for i = 0 to last do acc.(i) <- acc.(i) *. src.(off + i) done
+  | Min -> for i = 0 to last do acc.(i) <- min_skip_nan acc.(i) src.(off + i) done
+  | Max -> for i = 0 to last do acc.(i) <- max_skip_nan acc.(i) src.(off + i) done
+  | Land -> for i = 0 to last do acc.(i) <- land_ acc.(i) src.(off + i) done
+  | Lor -> for i = 0 to last do acc.(i) <- lor_ acc.(i) src.(off + i) done
+
+(* [apply_op op] folded left over [src.(0 .. len-1)] from [init], with
+   the op matched once. *)
+let fold op init (src : float array) len =
+  let acc = ref init and last = len - 1 in
+  (match op with
+  | Sum -> for i = 0 to last do acc := !acc +. src.(i) done
+  | Prod -> for i = 0 to last do acc := !acc *. src.(i) done
+  | Min -> for i = 0 to last do acc := min_skip_nan !acc src.(i) done
+  | Max -> for i = 0 to last do acc := max_skip_nan !acc src.(i) done
+  | Land -> for i = 0 to last do acc := land_ !acc src.(i) done
+  | Lor -> for i = 0 to last do acc := lor_ !acc src.(i) done);
+  !acc
 
 let tag_bcast = 1001
 let tag_reduce = 1002
@@ -36,9 +68,7 @@ let tag_allreduce = 1006
 
 (* Element-wise in-place combine, accounting one flop per element. *)
 let combine op (acc : float array) (other : float array) =
-  for i = 0 to Array.length acc - 1 do
-    acc.(i) <- apply_op op acc.(i) other.(i)
-  done;
+  combine_into op acc other 0;
   Sim.flops (float_of_int (Array.length acc))
 
 (* Relative-rank helpers: the tree collectives rotate ranks so the

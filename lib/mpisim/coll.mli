@@ -4,6 +4,21 @@
 
 type op = Sum | Prod | Min | Max | Land | Lor
 
+val apply_op : op -> float -> float -> float
+(** The element rule of every reduction: [Min] and [Max] skip a NaN
+    operand (NaN only when both are) and keep [Float.min]/[Float.max]'s
+    signed zeros; [Land] and [Lor] yield 1. or 0. *)
+
+val combine_into : op -> float array -> float array -> int -> unit
+(** [combine_into op acc src off] sets [acc.(i)] to
+    [apply_op op acc.(i) src.(off + i)] for every index of [acc],
+    matching the op once.  Charges no cost. *)
+
+val fold : op -> float -> float array -> int -> float
+(** [fold op init src len] folds [apply_op op] left over
+    [src.(0 .. len-1)] from [init], matching the op once.  Charges no
+    cost. *)
+
 val bcast : root:int -> float array -> float array
 (** Binomial-tree broadcast; every rank returns the root's data.
     Degenerates to {!bcast_linear} when P <= 2. *)

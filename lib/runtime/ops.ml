@@ -317,18 +317,6 @@ let red_init = function
   | Rany -> 0.
   | Rall -> 1.
 
-let red_combine op a b =
-  match op with
-  | Rsum -> a +. b
-  | Rprod -> a *. b
-  | Rmin | Rmax ->
-      if Float.is_nan a then b
-      else if Float.is_nan b then a
-      else if op = Rmin then Float.min a b
-      else Float.max a b
-  | Rany -> if a <> 0. || b <> 0. then 1. else 0.
-  | Rall -> if a <> 0. && b <> 0. then 1. else 0.
-
 let coll_op = function
   | Rsum -> Coll.Sum
   | Rprod -> Coll.Prod
@@ -340,12 +328,10 @@ let coll_op = function
 (* Local fold over the owned elements (the pre-combine partial; also
    one slot of a fused allreduce). *)
 let local_red op (m : Dmat.t) : float =
-  let acc = ref (red_init op) in
-  for i = 0 to Dmat.local_len m - 1 do
-    acc := red_combine op !acc m.data.(i)
-  done;
-  Sim.flops (float_of_int (Dmat.local_len m));
-  !acc
+  let len = Dmat.local_len m in
+  let acc = Coll.fold (coll_op op) (red_init op) m.data len in
+  Sim.flops (float_of_int len);
+  acc
 
 (* Reduce all elements of a vector (or whole matrix) to one scalar; a
    replicated operand folds locally, without the collective. *)
@@ -361,9 +347,7 @@ let reduce_cols op (m : Dmat.t) : Dmat.t =
     let dense = Dmat.to_dense m in
     let partial = Array.make n (red_init op) in
     for i = 0 to m.rows - 1 do
-      for j = 0 to n - 1 do
-        partial.(j) <- red_combine op partial.(j) dense.((i * n) + j)
-      done
+      Coll.combine_into (coll_op op) partial dense (i * n)
     done;
     Sim.flops (float_of_int (m.rows * n));
     Dmat.of_dense ~rows:1 ~cols:n partial
@@ -371,9 +355,7 @@ let reduce_cols op (m : Dmat.t) : Dmat.t =
   else begin
   let partial = Array.make n (red_init op) in
   for li = 0 to m.count - 1 do
-    for j = 0 to n - 1 do
-      partial.(j) <- red_combine op partial.(j) m.data.((li * n) + j)
-    done
+    Coll.combine_into (coll_op op) partial m.data (li * n)
   done;
   Sim.flops (float_of_int (m.count * n));
   if m.full then Dmat.of_full ~rows:1 ~cols:n partial
@@ -852,13 +834,11 @@ let section_linear (v : Dmat.t) (idx : int array) ~rows ~cols : Dmat.t =
    and general sections gather the operand. *)
 
 let nd_reduce_all op (t : Ndarr.t) : float =
-  let acc = ref (red_init op) in
-  for i = 0 to Ndarr.local_len t - 1 do
-    acc := red_combine op !acc t.Ndarr.data.(i)
-  done;
-  Sim.flops (float_of_int (Ndarr.local_len t));
-  if t.Ndarr.full then !acc
-  else Coll.allreduce_scalar ~op:(coll_op op) !acc
+  let len = Ndarr.local_len t in
+  let acc = Coll.fold (coll_op op) (red_init op) t.Ndarr.data len in
+  Sim.flops (float_of_int len);
+  if t.Ndarr.full then acc
+  else Coll.allreduce_scalar ~op:(coll_op op) acc
 
 let nd_mean_all (t : Ndarr.t) =
   nd_reduce_all Rsum t /. float_of_int (Ndarr.numel t)

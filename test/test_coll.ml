@@ -354,6 +354,72 @@ let test_allgatherv_owned () =
         (fun _ -> whole))
     own_procs
 
+(* --- the hoisted combine against the element rule ---------------------- *)
+
+let bits = Int64.bits_of_float
+let same_bits x y = bits x = bits y
+let ops = Coll.[ Sum; Prod; Min; Max; Land; Lor ]
+
+(* Entries that probe the rules: NaN, both zeros, both infinities. *)
+let entry_gen =
+  QCheck.Gen.(
+    frequency
+      [ (1, oneofl [ Float.nan; 0.; -0.; infinity; neg_infinity; 1.; -1. ]); (2, float_range (-4.) 4.) ])
+
+let combine_gen =
+  QCheck.Gen.(
+    let* op = oneofl ops and* len = int_range 0 12 and* off = int_range 0 3 in
+    let* init = entry_gen and* acc = array_repeat len entry_gen in
+    let+ src = array_repeat (off + len) entry_gen in
+    (op, init, acc, src, off))
+
+let combine_prop =
+  Testutil.qtest ~count:500 "combine and fold = element-wise apply_op, bit for bit"
+    (QCheck.make
+       ~print:(fun (_, init, acc, src, off) ->
+         Printf.sprintf "init=%h acc=[%s] src=[%s] off=%d" init
+           (String.concat ";" (Array.to_list (Array.map (Printf.sprintf "%h") acc)))
+           (String.concat ";" (Array.to_list (Array.map (Printf.sprintf "%h") src)))
+           off)
+       combine_gen)
+    (fun (op, init, acc, src, off) ->
+      let expect = Array.mapi (fun i x -> Coll.apply_op op x src.(off + i)) acc in
+      let got = Array.copy acc in
+      Coll.combine_into op got src off;
+      let len = Array.length src in
+      let folded = Array.fold_left (Coll.apply_op op) init src in
+      Array.for_all2 same_bits got expect && same_bits (Coll.fold op init src len) folded)
+
+(* The rules themselves, on the corner cases the property draws. *)
+let test_apply_op_rules () =
+  let check name want got =
+    if not (same_bits want got) then Alcotest.failf "%s: want %h, got %h" name want got
+  in
+  check "min skips NaN" 2. (Coll.apply_op Min Float.nan 2.);
+  check "max skips NaN" 2. (Coll.apply_op Max 2. Float.nan);
+  check "min of zeros" (-0.) (Coll.apply_op Min 0. (-0.));
+  check "max of zeros" 0. (Coll.apply_op Max (-0.) 0.);
+  check "land" 0. (Coll.apply_op Land Float.nan 0.);
+  check "lor" 1. (Coll.apply_op Lor 0. (-2.));
+  if not (Float.is_nan (Coll.apply_op Min Float.nan Float.nan)) then
+    Alcotest.fail "min of two NaNs is NaN"
+
+(* Matching the op once leaves no boxed float per element. *)
+let test_combine_allocation () =
+  let acc = Array.make 1000 1. and src = Array.init 1001 float_of_int in
+  List.iter
+    (fun op ->
+      Coll.combine_into op acc src 1;
+      ignore (Coll.fold op 0. src 1001);
+      let w0 = Gc.minor_words () in
+      Coll.combine_into op acc src 1;
+      let folded = Coll.fold op 0. src 1001 in
+      let w = Gc.minor_words () -. w0 in
+      (* at most the boxed result of [fold] *)
+      if w > 2. then Alcotest.failf "1000-element combine and fold allocated %.0f words" w;
+      ignore (Sys.opaque_identity folded))
+    ops
+
 let suite =
   [
     t "broadcast (all roots)" test_bcast;
@@ -369,4 +435,7 @@ let suite =
     t "allreduce hands buffers over safely" test_allreduce_owned;
     t "reduce and bcast results stay private" test_reduce_bcast_owned;
     t "allgatherv hands buffers over safely" test_allgatherv_owned;
+    combine_prop;
+    t "min, max, land and lor rules" test_apply_op_rules;
+    t "combine and fold allocate nothing per element" test_combine_allocation;
   ]
