@@ -212,17 +212,15 @@ let engine_arg =
   Arg.(value & opt string (Otter.Config.engine_name Otter.Config.default_engine)
          & info [ "engine" ] ~docv:"NAME"
          ~doc:"Execution engine for simulated runs: $(b,tcode) (the \
-               pre-decoded threaded-code fast path, default), $(b,ir) \
-               (the direct IR walker), or the sequential baselines \
-               $(b,interp) / $(b,matcom).  The two SPMD engines produce \
-               bit-identical results; ir is kept as a cross-check and \
-               fallback.")
+               SPMD engine, pre-decoded threaded code; default), or the \
+               sequential baselines $(b,interp) / $(b,matcom).  Any other \
+               name exits with status 2.")
 
 let get_engine name =
   match Otter.Config.engine_of_string name with
   | Some e -> e
   | None ->
-      Fmt.epr "unknown engine '%s' (try tcode, ir, interp or matcom)@." name;
+      Fmt.epr "unknown engine '%s' (try tcode, interp or matcom)@." name;
       exit 2
 
 let faults_arg =

@@ -1,13 +1,8 @@
-(* Representation shared by the execution engines.
-
-   Both engines — the IR-walking [Vm] and the pre-decoded threaded-code
-   [Tcode] — execute the same SPMD programs on the same simulator and
-   must be interchangeable from the driver's point of view: same value
-   representation, same structured results, same failure classes, and
-   the same checkpoint format, so a chaos run recovers identically no
-   matter which engine produced the snapshots.  This module holds that
-   common ground; everything engine-specific (environments vs slot
-   frames, tree walking vs decoded code) stays in the engines. *)
+(* The execution engine's representation and results: values,
+   structured outcomes, failure classes, the explicit message-passing
+   builtins, and the checkpoint format with its recovery driver.  The
+   engine itself ([Vm]) holds only decode and dispatch; this module is
+   what drivers, benches and tests share with it. *)
 
 open Spmd
 module Dmat = Runtime.Dmat
@@ -28,37 +23,18 @@ exception Break_exc
 exception Continue_exc
 exception Return_exc
 
-(* --- dispatch throughput counter ------------------------------------------ *)
+(* --- execution-unit counter ----------------------------------------------- *)
 
-(* Instructions executed since the caller last reset this, summed over
-   ranks and engines.  Each engine counts its own execution unit: the
-   walker adds one per IR instruction it executes; the threaded-code
-   engine adds one per decoded op dispatched plus one per step of each
-   scalar program it evaluates (the units its decode listing prints).
-   `bench vmspeed` divides by wall time to get engine throughput. *)
+(* Execution units since the caller last reset this, summed over ranks:
+   one per decoded op dispatched plus one per step of each scalar
+   program evaluated (the units the decode listing prints).  `bench
+   vmspeed` gates the count per run exactly. *)
 let dispatched = ref 0
 
 (* --- shared scalar semantics --------------------------------------------- *)
 
 let truthy f = f <> 0.
 let of_bool b = if b then 1. else 0.
-
-let scalar_binop (op : Mlang.Ast.binop) a b =
-  match op with
-  | Mlang.Ast.Add -> a +. b
-  | Mlang.Ast.Sub -> a -. b
-  | Mlang.Ast.Mul | Mlang.Ast.Emul -> a *. b
-  | Mlang.Ast.Div | Mlang.Ast.Ediv -> a /. b
-  | Mlang.Ast.Ldiv | Mlang.Ast.Eldiv -> b /. a
-  | Mlang.Ast.Pow | Mlang.Ast.Epow -> Float.pow a b
-  | Mlang.Ast.Lt -> of_bool (a < b)
-  | Mlang.Ast.Le -> of_bool (a <= b)
-  | Mlang.Ast.Gt -> of_bool (a > b)
-  | Mlang.Ast.Ge -> of_bool (a >= b)
-  | Mlang.Ast.Eq -> of_bool (a = b)
-  | Mlang.Ast.Ne -> of_bool (a <> b)
-  | Mlang.Ast.And | Mlang.Ast.Shortand -> of_bool (truthy a && truthy b)
-  | Mlang.Ast.Or | Mlang.Ast.Shortor -> of_bool (truthy a || truthy b)
 
 let scalar_builtin name args =
   match (name, args) with
@@ -159,10 +135,6 @@ let inst_name : Ir.inst -> string = function
   | Ir.Impi_bcast _ -> "MPI_Bcast"
   | Ir.Impi_probe _ -> "MPI_Probe"
 
-(* Instructions the C back end maps to an ML_* run-time library call;
-   scalar assignments, fused element-wise loops, control flow and
-   printing run inline in the generated code.  The per-rank executed
-   count is what the bench ablation prices. *)
 (* --- explicit message passing (MatlabMPI-style builtins) ----------------- *)
 
 (* User-visible tags ride in their own tag space, above the collectives
@@ -272,13 +244,6 @@ let mpi_bcast ~root (v : value) : value =
       else
         mpi_decode "MPI_Bcast"
           (Mpisim.Reliable.recv ~src:root ~tag:tag_mpi_bcast)
-
-let is_lib_call : Ir.inst -> bool = function
-  | Ir.Iscalar _ | Ir.Ielem _ | Ir.Icalluser _ | Ir.Iprint _ | Ir.Iprintf _
-  | Ir.Ierror _ | Ir.Iif _ | Ir.Iwhile _ | Ir.Ifor _ | Ir.Ibreak
-  | Ir.Icontinue | Ir.Ireturn ->
-      false
-  | _ -> true
 
 (* --- structured results --------------------------------------------------- *)
 
@@ -397,8 +362,7 @@ type ck = {
 
    The engine supplies [mk_env] (a deep copy of its locals in snapshot
    form) and bookkeeping counters; the vote, the slot rotation and the
-   snapshot layout live here so both engines write the exact same
-   checkpoint format. *)
+   snapshot layout live here. *)
 let at_boundary ck ~rk ~mk_env ~rand_calls ~calls ~out (pcv : pc) =
   ck.ck_boundary <- ck.ck_boundary + 1;
   let want = Mpisim.Sim.time () >= ck.ck_next in

@@ -1,19 +1,29 @@
-(* The IR-walking SPMD virtual machine: executes the compiler's IR on
-   the machine simulator.  Each simulated rank runs this interpreter
-   over the same program; scalars are replicated, matrices are the
-   distributed run-time MATRIX values, and every run-time library
-   instruction maps onto [Runtime.Ops].  Floating-point work is charged
-   to the rank's virtual clock; communication is charged by the
-   messages the run-time library sends.
+(* The SPMD executor: runs the compiler's IR on the machine simulator,
+   the moral equivalent of the emitted C linked against the MPI
+   run-time library on the modeled hardware.
 
-   This is the moral equivalent of running the emitted C program linked
-   against the MPI run-time library on the modeled hardware.  It is
-   also the slow path: the pre-decoded threaded-code engine ([Tcode])
-   executes the same programs bit-identically but much faster, and this
-   walker remains as the `--engine=ir` fallback and as a differential
-   -testing foil.  The value representation, structured results,
-   failure classes, checkpoint format and recovery driver are shared
-   with [Tcode] through [State]. *)
+   A tree walker would pay on every instruction for environment hashes,
+   constructor matches and closure rebuilding inside element loops.
+   This engine pays those costs once, in a decode pass, and then runs
+   flat threaded code:
+
+   - variables are interned into array-indexed frame slots (a tag word,
+     an unboxed float for scalars, a boxed value for matrices/strings);
+   - scalar expressions become closure trees, one direct call per
+     node, with builtins and operators resolved at decode time and the
+     flop charge precomputed (operand counts are static because
+     [&&]/[||] on replicated scalars evaluate both sides);
+   - element-wise loops become a fetch prelude (operands resolved in
+     tree order, so embedded broadcasts and conformance errors keep
+     source order) plus one tight RPN loop over an unboxed float
+     stack;
+   - control flow becomes resolved jump targets: an op returns the
+     next pc, and break/continue inside decoded loops are plain jumps.
+
+   Results, values and failure classes live in [State], with the
+   checkpoint format and recovery driver.  Decoding is per rank —
+   preallocated operand buffers may be live across a communication
+   suspension, so they cannot be shared between ranks. *)
 
 open Spmd
 module Dmat = Runtime.Dmat
@@ -21,9 +31,6 @@ module Ndarr = Runtime.Ndarr
 module Ops = Runtime.Ops
 
 exception Runtime_error = State.Runtime_error
-exception Break_exc = State.Break_exc
-exception Continue_exc = State.Continue_exc
-exception Return_exc = State.Return_exc
 
 let error = State.error
 
@@ -33,80 +40,179 @@ type value = State.value =
   | Vnd of Ndarr.t
   | Vstr of string
 
-let truthy = State.truthy
-let of_bool = State.of_bool
-let scalar_binop = State.scalar_binop
-let scalar_builtin = State.scalar_builtin
-let rkind_to_red = State.rkind_to_red
-let range_indices = State.range_indices
-let inst_name = State.inst_name
-let is_lib_call = State.is_lib_call
+(* --- per-rank shared execution state ------------------------------------- *)
 
-type frame = {
-  env : (string, value) Hashtbl.t;
-  prog : Ir.prog;
-  funcs : (string, Ir.func) Hashtbl.t;
-  out : Buffer.t; (* rank 0 appends program output here *)
-  mutable rand_calls : int; (* replicated rand() sequence number *)
-  calls : int ref; (* executed run-time library calls on this rank *)
+(* One per rank per attempt, shared by every frame of that rank (the
+   top-level frame and each user-function call frame), so the RNG
+   sequence number a callee advances is the caller's too. *)
+type rstate = {
+  out : Buffer.t;
+  mutable rand_calls : int;
+  calls : int ref;
   seed : int;
   datadir : string;
-  rk : int; (* this frame's simulated rank *)
-  trace : string array; (* operation in progress, per rank *)
+  rk : int;
+  tix : int array; (* per-rank current trace id (indexes trace_names) *)
 }
 
-let lookup fr v =
-  match Hashtbl.find_opt fr.env v with
-  | Some x -> x
-  | None -> error "variable '%s' used before it is defined" v
+(* Failure attribution without per-instruction string writes: ops store
+   a small int in [tix]; the name is only materialized if the rank
+   dies.  Ids 0 and 1 are the engine's own states, the rest mirror
+   [State.inst_name]. *)
+let trace_names =
+  [|
+    "startup";
+    "checkpoint vote";
+    "scalar assignment";
+    "element-wise expression";
+    "matrix copy";
+    "matrix multiply";
+    "transposed matrix multiply";
+    "dot product";
+    "transpose";
+    "diagonal";
+    "outer product";
+    "full reduction";
+    "column reduction";
+    "norm";
+    "cumulative scan";
+    "sort";
+    "indexed reduction";
+    "trapezoidal integration";
+    "circular shift";
+    "element broadcast";
+    "batched element broadcast";
+    "fused allreduce";
+    "element assignment";
+    "data file load";
+    "matrix constructor";
+    "matrix literal";
+    "section read";
+    "section assignment";
+    "matrix concatenation";
+    "user function call";
+    "print";
+    "formatted output";
+    "error statement";
+    "if statement";
+    "while loop";
+    "for loop";
+    "control transfer";
+    "MPI_Comm_rank";
+    "MPI_Comm_size";
+    "MPI_Send";
+    "MPI_Recv";
+    "MPI_Bcast";
+    "MPI_Probe";
+  |]
 
-let scalar_of fr v =
-  match lookup fr v with
-  | Vscalar f -> f
-  | Vmat m when Dmat.numel m = 1 -> Ops.bcast_elem m ~i:0 ~j:0
-  | Vnd t when Ndarr.numel t = 1 ->
-      Ops.nd_bcast_elem t (Array.make (Ndarr.rank t) 0)
-  | Vmat _ -> error "variable '%s' is a matrix where a scalar is required" v
-  | Vnd _ -> error "variable '%s' is a tensor where a scalar is required" v
-  | Vstr _ -> error "variable '%s' is a string where a scalar is required" v
+let tid_of_name n =
+  let rec go i =
+    if i >= Array.length trace_names then 36 (* control transfer *)
+    else if trace_names.(i) = n then i
+    else go (i + 1)
+  in
+  go 0
 
-let mat_of fr v =
-  match lookup fr v with
-  | Vmat m -> m
-  | Vscalar _ -> error "variable '%s' is a scalar where a matrix is required" v
-  | Vnd _ -> error "variable '%s' is a tensor where a matrix is required" v
-  | Vstr _ -> error "variable '%s' is a string where a matrix is required" v
+let tid_of_inst i = tid_of_name (State.inst_name i)
 
-(* --- scalar expression evaluation -------------------------------------- *)
+(* --- frames --------------------------------------------------------------- *)
 
-(* Evaluation counts the scalar operations performed so that replicated
-   scalar arithmetic is charged to the virtual clock. *)
-let rec eval_s fr ops (s : Ir.sexpr) : float =
-  match s with
-  | Ir.Sconst f -> f
-  | Ir.Sstr _ -> error "string literal in numeric context"
-  | Ir.Svar v -> scalar_of fr v
-  | Ir.Sbin (op, a, b) ->
-      incr ops;
-      let x = eval_s fr ops a in
-      let y = eval_s fr ops b in
-      scalar_binop op x y
-  | Ir.Sneg a ->
-      incr ops;
-      -.eval_s fr ops a
-  | Ir.Snot a ->
-      incr ops;
-      of_bool (not (truthy (eval_s fr ops a)))
-  | Ir.Scall (name, args) ->
-      incr ops;
-      scalar_builtin name (List.map (eval_s fr ops) args)
-  | Ir.Sdim (v, code) -> (
-      (* codes: 0 numel, 1 rows (trailing cell), 2 cols (trailing
-         cell), 3 max over all dims, 4 leading-axis extent (1 for
-         scalars and matrices, which have no frame axis) *)
-      match lookup fr v with
-      | Vscalar _ -> 1.
-      | Vstr _ -> error "size of a string"
+(* Slot tags. *)
+let t_undef = 0
+
+let t_scalar = 1
+
+let t_mat = 2
+
+let t_str = 3
+
+let t_nd = 4
+
+let novalue = Vscalar nan
+
+type frame = {
+  tags : int array;
+  sc : float array; (* unboxed scalar slots *)
+  vals : value array; (* matrix / string slots; [novalue] elsewhere *)
+  names : string array; (* slot -> variable name, "" for hidden slots *)
+  stack : float array; (* RPN scratch; safe per frame (see intro) *)
+  st : rstate;
+}
+
+let sets fr slot x =
+  fr.tags.(slot) <- t_scalar;
+  fr.sc.(slot) <- x
+
+let setm fr slot m =
+  fr.tags.(slot) <- t_mat;
+  fr.vals.(slot) <- Vmat m
+
+let setstr fr slot s =
+  fr.tags.(slot) <- t_str;
+  fr.vals.(slot) <- Vstr s
+
+let setnd fr slot t =
+  fr.tags.(slot) <- t_nd;
+  fr.vals.(slot) <- Vnd t
+
+let setv fr slot = function
+  | Vscalar x -> sets fr slot x
+  | v ->
+      fr.tags.(slot) <-
+        (match v with Vstr _ -> t_str | Vnd _ -> t_nd | _ -> t_mat);
+      fr.vals.(slot) <- v
+
+let getv fr slot =
+  match fr.tags.(slot) with
+  | 1 -> Vscalar fr.sc.(slot)
+  | 0 -> error "variable '%s' used before it is defined" fr.names.(slot)
+  | _ -> fr.vals.(slot)
+
+let read_scalar fr slot =
+  match fr.tags.(slot) with
+  | 1 -> fr.sc.(slot)
+  | 2 -> (
+      match fr.vals.(slot) with
+      | Vmat m when Dmat.numel m = 1 -> Ops.bcast_elem m ~i:0 ~j:0
+      | _ ->
+          error "variable '%s' is a matrix where a scalar is required"
+            fr.names.(slot))
+  | 3 ->
+      error "variable '%s' is a string where a scalar is required"
+        fr.names.(slot)
+  | 4 -> (
+      match fr.vals.(slot) with
+      | Vnd t when Ndarr.numel t = 1 ->
+          Ops.nd_bcast_elem t (Array.make (Ndarr.rank t) 0)
+      | _ ->
+          error "variable '%s' is a tensor where a scalar is required"
+            fr.names.(slot))
+  | _ -> error "variable '%s' used before it is defined" fr.names.(slot)
+
+let mat_of fr slot =
+  match fr.tags.(slot) with
+  | 2 -> ( match fr.vals.(slot) with Vmat m -> m | _ -> assert false)
+  | 1 ->
+      error "variable '%s' is a scalar where a matrix is required"
+        fr.names.(slot)
+  | 3 ->
+      error "variable '%s' is a string where a matrix is required"
+        fr.names.(slot)
+  | 4 ->
+      error "variable '%s' is a tensor where a matrix is required"
+        fr.names.(slot)
+  | _ -> error "variable '%s' used before it is defined" fr.names.(slot)
+
+let dim_of fr slot code =
+  (* codes: 0 numel, 1 rows (trailing cell), 2 cols (trailing cell),
+     3 max over all dims, 4 leading-axis extent *)
+  match fr.tags.(slot) with
+  | 1 -> 1.
+  | 3 -> error "size of a string"
+  | 0 -> error "variable '%s' used before it is defined" fr.names.(slot)
+  | _ -> (
+      match fr.vals.(slot) with
       | Vmat m -> (
           match code with
           | 0 -> float_of_int (Dmat.numel m)
@@ -120,593 +226,876 @@ let rec eval_s fr ops (s : Ir.sexpr) : float =
           | 1 -> float_of_int (Ndarr.cell_rows t)
           | 2 -> float_of_int (Ndarr.cell_cols t)
           | 4 -> float_of_int t.Ndarr.dims.(0)
-          | _ -> float_of_int (Array.fold_left max 1 t.Ndarr.dims)))
+          | _ -> float_of_int (Array.fold_left max 1 t.Ndarr.dims))
+      | _ -> assert false)
 
-let eval_scalar fr s =
-  let ops = ref 0 in
-  let v = eval_s fr ops s in
-  if !ops > 0 then Mpisim.Sim.flops (float_of_int !ops);
+(* --- RPN scalar programs --------------------------------------------------- *)
+
+(* Opcodes (argument meaning in parentheses):
+     0 push constant (const index)        1 push variable (slot)
+     2 negate                             3 logical not
+     4 dimension query (slot*4 + code)    5 builtin, 1 arg (fid)
+     6 builtin, 2 args (fid)              7 raise (message index)
+     10..23 binary operators *)
+type rpn = {
+  r_ops : int array;
+  r_a : int array;
+  r_consts : float array;
+  r_msgs : string array; (* decode-time error messages for opcode 7 *)
+  r_nops : int; (* static flop charge *)
+  r_fnops : float; (* the same, pre-converted for the charge call *)
+  r_f : frame -> float; (* compiled evaluator; the arrays are its listing *)
+}
+
+let bin_code (op : Mlang.Ast.binop) =
+  match op with
+  | Mlang.Ast.Add -> 10
+  | Mlang.Ast.Sub -> 11
+  | Mlang.Ast.Mul | Mlang.Ast.Emul -> 12
+  | Mlang.Ast.Div | Mlang.Ast.Ediv -> 13
+  | Mlang.Ast.Ldiv | Mlang.Ast.Eldiv -> 14
+  | Mlang.Ast.Pow | Mlang.Ast.Epow -> 15
+  | Mlang.Ast.Lt -> 16
+  | Mlang.Ast.Le -> 17
+  | Mlang.Ast.Gt -> 18
+  | Mlang.Ast.Ge -> 19
+  | Mlang.Ast.Eq -> 20
+  | Mlang.Ast.Ne -> 21
+  | Mlang.Ast.And | Mlang.Ast.Shortand -> 22
+  | Mlang.Ast.Or | Mlang.Ast.Shortor -> 23
+
+(* (name, argc) -> fid, exactly the pairs [State.scalar_builtin]
+   accepts; anything else raises its error, but only when executed. *)
+let builtin_fid name argc =
+  match (name, argc) with
+  | "abs", 1 -> 0
+  | "sqrt", 1 -> 1
+  | "exp", 1 -> 2
+  | "log", 1 -> 3
+  | "log10", 1 -> 4
+  | "log2", 1 -> 5
+  | "sin", 1 -> 6
+  | "cos", 1 -> 7
+  | "tan", 1 -> 8
+  | "asin", 1 -> 9
+  | "acos", 1 -> 10
+  | "atan", 1 -> 11
+  | "sinh", 1 -> 12
+  | "cosh", 1 -> 13
+  | "tanh", 1 -> 14
+  | "floor", 1 -> 15
+  | "ceil", 1 -> 16
+  | "round", 1 -> 17
+  | "fix", 1 -> 18
+  | "sign", 1 -> 19
+  | "double", 1 -> 20
+  | "mod", 2 -> 21
+  | "rem", 2 -> 22
+  | "atan2", 2 -> 23
+  | "hypot", 2 -> 24
+  | "pow", 2 -> 25
+  | "power", 2 -> 25
+  | "min", 2 -> 26
+  | "max", 2 -> 27
+  | _ -> -1
+
+let call1 fid x =
+  match fid with
+  | 0 -> Float.abs x
+  | 1 -> sqrt x
+  | 2 -> exp x
+  | 3 -> log x
+  | 4 -> log10 x
+  | 5 -> log x /. log 2.
+  | 6 -> sin x
+  | 7 -> cos x
+  | 8 -> tan x
+  | 9 -> asin x
+  | 10 -> acos x
+  | 11 -> atan x
+  | 12 -> sinh x
+  | 13 -> cosh x
+  | 14 -> tanh x
+  | 15 -> floor x
+  | 16 -> ceil x
+  | 17 -> Float.round x
+  | 18 -> Float.trunc x
+  | 19 -> if x > 0. then 1. else if x < 0. then -1. else 0.
+  | _ -> x (* 20: double *)
+
+let call2 fid a b =
+  match fid with
+  | 21 -> if b = 0. then a else a -. (b *. Float.floor (a /. b))
+  | 22 -> if b = 0. then a else Float.rem a b
+  | 23 -> atan2 a b
+  | 24 -> Float.hypot a b
+  | 25 -> Float.pow a b
+  | 26 -> Float.min a b
+  | _ -> Float.max a b
+
+let truthy = State.truthy
+
+let of_bool = State.of_bool
+
+(* Run the compiled evaluator.  No charge: the caller decides
+   (element-loop scalar subtrees are uncharged). *)
+let exec_rpn fr (r : rpn) : float = r.r_f fr
+
+(* Charged evaluation: evaluate fully, then charge the static operation
+   count in one flops call. *)
+let eval_rpn fr r =
+  State.dispatched := !State.dispatched + Array.length r.r_ops;
+  let v = r.r_f fr in
+  if r.r_nops > 0 then Mpisim.Sim.flops r.r_fnops;
   v
 
-(* --- element-wise loops ------------------------------------------------- *)
+(* --- decode context -------------------------------------------------------- *)
 
-(* Compile an element expression to a closure over the local element
-   index; scalar subtrees are evaluated once, outside the loop.
-   Operands are fetched depth-first left-to-right — the same order the
-   threaded-code engine stages them in, so cross-engine runs issue any
-   embedded broadcasts identically. *)
-let rec compile_e fr ops (e : Ir.eexpr) (model : Dmat.t) : int -> float =
-  match e with
-  | Ir.Emat v ->
-      let m = mat_of fr v in
-      if m.Dmat.rows <> model.Dmat.rows || m.Dmat.cols <> model.Dmat.cols then
-        error "nonconformant element-wise operands (%dx%d vs %dx%d)"
-          m.Dmat.rows m.Dmat.cols model.Dmat.rows model.Dmat.cols;
-      if not (Dmat.same_locality m model) then
-        error
-          "cannot mix a replicated (message-passing) matrix with a \
-           distributed one element-wise; MPI_Bcast the distributed operand \
-           first";
-      let data = m.Dmat.data in
-      fun i -> data.(i)
-  | Ir.Eeye ->
-      (* 1.0 on the main diagonal of the model's global shape *)
-      fun i ->
-        let r, c = Dmat.global_rc_of_local model i in
-        if r = c then 1.0 else 0.0
-  | Ir.Escalar s ->
-      let c = eval_s fr (ref 0) s in
-      fun _ -> c
-  | Ir.Ebin (op, a, b) ->
-      incr ops;
-      let fa = compile_e fr ops a model in
-      let fb = compile_e fr ops b model in
-      fun i -> scalar_binop op (fa i) (fb i)
-  | Ir.Eneg a ->
-      incr ops;
-      let fa = compile_e fr ops a model in
-      fun i -> -.fa i
-  | Ir.Enot a ->
-      incr ops;
-      let fa = compile_e fr ops a model in
-      fun i -> of_bool (not (truthy (fa i)))
-  | Ir.Ecall1 (name, a) ->
-      incr ops;
-      let fa = compile_e fr ops a model in
-      fun i -> scalar_builtin name [ fa i ]
-  | Ir.Ecall2 (name, a, b) ->
-      incr ops;
-      let fa = compile_e fr ops a model in
-      let fb = compile_e fr ops b model in
-      fun i -> scalar_builtin name [ fa i; fb i ]
+type code = { c_ops : (frame -> int) array; c_len : int }
 
-(* The tensor variant: the loop runs over the model tensor's local
-   elements.  A same-dims tensor operand reads its own local element; a
-   matrix operand whose shape matches the model's trailing cell is
-   frame-broadcast — replicated over every leading slice, which in the
-   row-major layout is an [i mod cell] read of its dense form. *)
-let rec compile_e_nd fr ops (e : Ir.eexpr) (model : Ndarr.t) : int -> float =
-  match e with
-  | Ir.Emat v -> (
-      match lookup fr v with
-      | Vnd t ->
-          if t.Ndarr.dims <> model.Ndarr.dims then
-            error "nonconformant element-wise tensor operands";
-          if not (Ndarr.same_locality t model) then
-            error
-              "cannot mix a replicated (message-passing) tensor with a \
-               distributed one element-wise";
-          let data = t.Ndarr.data in
-          fun i -> data.(i)
-      | Vmat m ->
-          if
-            m.Dmat.rows <> Ndarr.cell_rows model
-            || m.Dmat.cols <> Ndarr.cell_cols model
+(* Decoded user function: fresh frame per call (recursion-safe), code
+   shared across calls on this rank. *)
+type fentry = {
+  fe_code : code;
+  fe_nslots : int;
+  fe_names : string array;
+  fe_stack : int;
+  fe_params : int list; (* parameter slots, in declaration order *)
+  fe_rets : (int * string) list; (* return slots + names *)
+  fe_fname : string;
+}
+
+type dctx = {
+  slot_of : (string, int) Hashtbl.t;
+  mutable nslots : int;
+  mutable rnames : string list; (* slot names, newest first *)
+  mutable maxdepth : int; (* RPN stack high-water mark *)
+  funcs : (string, Ir.func) Hashtbl.t;
+  fdec : (string, fentry) Hashtbl.t; (* decoded on first call, per rank *)
+  lst : Buffer.t option; (* decode listing accumulator *)
+}
+
+let slot dc name =
+  match Hashtbl.find_opt dc.slot_of name with
+  | Some s -> s
+  | None ->
+      let s = dc.nslots in
+      dc.nslots <- s + 1;
+      dc.rnames <- name :: dc.rnames;
+      Hashtbl.add dc.slot_of name s;
+      s
+
+(* Hidden slots carry decoded loop state (iteration counter, frozen
+   bounds): unnamed, so they are invisible to checkpoint snapshots, and
+   frame-resident, so recursive calls cannot clobber each other. *)
+let hidden_slot dc =
+  let s = dc.nslots in
+  dc.nslots <- s + 1;
+  dc.rnames <- "" :: dc.rnames;
+  s
+
+let frame_names dc = Array.of_list (List.rev dc.rnames)
+
+let mk_frame ~nslots ~names ~stack st =
+  {
+    tags = Array.make nslots t_undef;
+    sc = Array.make nslots 0.;
+    vals = Array.make nslots novalue;
+    names;
+    stack = Array.make (max 4 stack) 0.;
+    st;
+  }
+
+(* --- compiling scalar expressions to RPN ----------------------------------- *)
+
+let compile_sexpr dc (s : Ir.sexpr) : rpn =
+  let ops = ref [] and args = ref [] and n = ref 0 in
+  let consts = ref [] and ncon = ref 0 in
+  let msgs = ref [] and nmsg = ref 0 in
+  let nops = ref 0 in
+  let depth = ref 0 and maxd = ref 0 in
+  let emit op a d =
+    ops := op :: !ops;
+    args := a :: !args;
+    incr n;
+    depth := !depth + d;
+    if !depth > !maxd then maxd := !depth
+  in
+  let const f =
+    consts := f :: !consts;
+    incr ncon;
+    !ncon - 1
+  in
+  let msg m =
+    msgs := m :: !msgs;
+    incr nmsg;
+    !nmsg - 1
+  in
+  let rec go (s : Ir.sexpr) =
+    match s with
+    | Ir.Sconst f -> emit 0 (const f) 1
+    | Ir.Sstr _ -> emit 7 (msg "string literal in numeric context") 1
+    | Ir.Svar v -> emit 1 (slot dc v) 1
+    | Ir.Sbin (op, a, b) ->
+        incr nops;
+        go a;
+        go b;
+        emit (bin_code op) 0 (-1)
+    | Ir.Sneg a ->
+        incr nops;
+        go a;
+        emit 2 0 0
+    | Ir.Snot a ->
+        incr nops;
+        go a;
+        emit 3 0 0
+    | Ir.Scall (name, cargs) -> (
+        incr nops;
+        List.iter go cargs;
+        let argc = List.length cargs in
+        match builtin_fid name argc with
+        | -1 ->
+            emit 7
+              (msg (Printf.sprintf "unknown scalar builtin '%s'/%d" name argc))
+              1
+        | fid when argc = 1 -> emit 5 fid 0
+        | fid -> emit 6 fid (-1))
+    | Ir.Sdim (v, code) -> emit 4 ((slot dc v * 8) lor (code land 7)) 1
+  in
+  go s;
+  if !maxd + 1 > dc.maxdepth then dc.maxdepth <- !maxd + 1;
+  (* The executable form: a closure tree, one direct call per node,
+     evaluating strictly left to right — the same order the listing
+     arrays describe.  Decode-time failures (strings in numeric
+     position, unknown builtins) become closures that first evaluate
+     their operands, then raise, so errors come in evaluation order. *)
+  let rec cc (s : Ir.sexpr) : frame -> float =
+    match s with
+    | Ir.Sconst f -> fun _ -> f
+    | Ir.Sstr _ -> fun _ -> error "string literal in numeric context"
+    | Ir.Svar v ->
+        let sl = slot dc v in
+        fun fr -> read_scalar fr sl
+    | Ir.Sdim (v, code) ->
+        let sl = slot dc v in
+        let code = code land 7 in
+        fun fr -> dim_of fr sl code
+    | Ir.Sneg a ->
+        let fa = cc a in
+        fun fr -> -.fa fr
+    | Ir.Snot a ->
+        let fa = cc a in
+        fun fr -> of_bool (not (truthy (fa fr)))
+    | Ir.Sbin (op, a, b) -> (
+        let fa = cc a in
+        let fb = cc b in
+        match bin_code op with
+        | 10 ->
+            fun fr ->
+              let x = fa fr in
+              let y = fb fr in
+              x +. y
+        | 11 ->
+            fun fr ->
+              let x = fa fr in
+              let y = fb fr in
+              x -. y
+        | 12 ->
+            fun fr ->
+              let x = fa fr in
+              let y = fb fr in
+              x *. y
+        | 13 ->
+            fun fr ->
+              let x = fa fr in
+              let y = fb fr in
+              x /. y
+        | 14 ->
+            fun fr ->
+              let x = fa fr in
+              let y = fb fr in
+              y /. x
+        | 15 ->
+            fun fr ->
+              let x = fa fr in
+              let y = fb fr in
+              Float.pow x y
+        | 16 ->
+            fun fr ->
+              let x = fa fr in
+              let y = fb fr in
+              of_bool (x < y)
+        | 17 ->
+            fun fr ->
+              let x = fa fr in
+              let y = fb fr in
+              of_bool (x <= y)
+        | 18 ->
+            fun fr ->
+              let x = fa fr in
+              let y = fb fr in
+              of_bool (x > y)
+        | 19 ->
+            fun fr ->
+              let x = fa fr in
+              let y = fb fr in
+              of_bool (x >= y)
+        | 20 ->
+            fun fr ->
+              let x = fa fr in
+              let y = fb fr in
+              of_bool (x = y)
+        | 21 ->
+            fun fr ->
+              let x = fa fr in
+              let y = fb fr in
+              of_bool (x <> y)
+        | 22 ->
+            fun fr ->
+              let x = fa fr in
+              let y = fb fr in
+              of_bool (truthy x && truthy y)
+        | _ ->
+            fun fr ->
+              let x = fa fr in
+              let y = fb fr in
+              of_bool (truthy x || truthy y))
+    | Ir.Scall (name, cargs) -> (
+        let fargs = List.map cc cargs in
+        let argc = List.length cargs in
+        match (builtin_fid name argc, fargs) with
+        | -1, _ ->
+            let m =
+              Printf.sprintf "unknown scalar builtin '%s'/%d" name argc
+            in
+            fun fr ->
+              List.iter (fun f -> ignore (f fr)) fargs;
+              error "%s" m
+        | fid, [ f1 ] -> fun fr -> call1 fid (f1 fr)
+        | fid, [ f1; f2 ] ->
+            fun fr ->
+              let a = f1 fr in
+              let b = f2 fr in
+              call2 fid a b
+        | _ -> assert false)
+  in
+  let f = cc s in
+  {
+    r_ops = Array.of_list (List.rev !ops);
+    r_a = Array.of_list (List.rev !args);
+    r_consts = Array.of_list (List.rev !consts);
+    r_msgs = Array.of_list (List.rev !msgs);
+    r_nops = !nops;
+    r_fnops = float_of_int !nops;
+    r_f = f;
+  }
+
+(* --- element-wise plans ---------------------------------------------------- *)
+
+(* One fetch/eval step of an element plan's prelude, executed in tree
+   order before the loop: operand matrices are bound (and conformance
+   -checked) and scalar subtrees evaluated in source order, so embedded
+   broadcasts and errors keep their order. *)
+type pstep =
+  | Pfetch of int * int (* mats.(ix) <- data of matrix at slot *)
+  | Peval of int * rpn (* esc.(ix) <- uncharged scalar evaluation *)
+  | Peye (* no-op for matrices; rejected in tree order under a tensor model *)
+
+(* Element opcodes reuse the scalar set, with the pushes redirected:
+     0 push esc scratch (index)       1 push mat element (operand index)
+     8 push eye element               others as in [rpn] *)
+type eplan = {
+  e_prelude : pstep array;
+  e_ops : int array;
+  e_a : int array;
+  e_msgs : string array;
+  e_nops : int; (* per-element static charge *)
+  e_nmat : int;
+  e_nsc : int;
+}
+
+let compile_eexpr dc (e : Ir.eexpr) : eplan =
+  let prelude = ref [] in
+  let ops = ref [] and args = ref [] in
+  let msgs = ref [] and nmsg = ref 0 in
+  let nops = ref 0 and nmat = ref 0 and nsc = ref 0 in
+  let depth = ref 0 and maxd = ref 0 in
+  let emit op a d =
+    ops := op :: !ops;
+    args := a :: !args;
+    depth := !depth + d;
+    if !depth > !maxd then maxd := !depth
+  in
+  let msg m =
+    msgs := m :: !msgs;
+    incr nmsg;
+    !nmsg - 1
+  in
+  let rec go (e : Ir.eexpr) =
+    match e with
+    | Ir.Emat v ->
+        let ix = !nmat in
+        incr nmat;
+        prelude := Pfetch (ix, slot dc v) :: !prelude;
+        emit 1 ix 1
+    | Ir.Eeye ->
+        prelude := Peye :: !prelude;
+        emit 8 0 1
+    | Ir.Escalar s ->
+        let ix = !nsc in
+        incr nsc;
+        prelude := Peval (ix, compile_sexpr dc s) :: !prelude;
+        emit 0 ix 1
+    | Ir.Ebin (op, a, b) ->
+        incr nops;
+        go a;
+        go b;
+        emit (bin_code op) 0 (-1)
+    | Ir.Eneg a ->
+        incr nops;
+        go a;
+        emit 2 0 0
+    | Ir.Enot a ->
+        incr nops;
+        go a;
+        emit 3 0 0
+    | Ir.Ecall1 (name, a) -> (
+        incr nops;
+        go a;
+        match builtin_fid name 1 with
+        | -1 ->
+            emit 7 (msg (Printf.sprintf "unknown scalar builtin '%s'/1" name)) 1
+        | fid -> emit 5 fid 0)
+    | Ir.Ecall2 (name, a, b) -> (
+        incr nops;
+        go a;
+        go b;
+        match builtin_fid name 2 with
+        | -1 ->
+            emit 7 (msg (Printf.sprintf "unknown scalar builtin '%s'/2" name)) 1
+        | fid -> emit 6 fid (-1))
+  in
+  go e;
+  if !maxd + 1 > dc.maxdepth then dc.maxdepth <- !maxd + 1;
+  {
+    e_prelude = Array.of_list (List.rev !prelude);
+    e_ops = Array.of_list (List.rev !ops);
+    e_a = Array.of_list (List.rev !args);
+    e_msgs = Array.of_list (List.rev !msgs);
+    e_nops = !nops;
+    e_nmat = !nmat;
+    e_nsc = !nsc;
+  }
+
+(* Execute a plan.  [mats]/[esc] are the decode-time preallocated
+   operand buffers (per rank, so a suspension inside the prelude cannot
+   interleave with another rank's use of them). *)
+let exec_eplan fr (p : eplan) ~(mats : float array array) ~(esc : float array)
+    ~(model : Dmat.t) ~(dst : Dmat.t) =
+  Array.iter
+    (fun step ->
+      match step with
+      | Pfetch (ix, s) ->
+          let m = mat_of fr s in
+          if m.Dmat.rows <> model.Dmat.rows || m.Dmat.cols <> model.Dmat.cols
           then
+            error "nonconformant element-wise operands (%dx%d vs %dx%d)"
+              m.Dmat.rows m.Dmat.cols model.Dmat.rows model.Dmat.cols;
+          if not (Dmat.same_locality m model) then
             error
-              "frame broadcast needs a %dx%d matrix matching the tensor cell \
-               (got %dx%d)"
-              (Ndarr.cell_rows model) (Ndarr.cell_cols model) m.Dmat.rows
-              m.Dmat.cols;
-          let dense = Dmat.to_dense m in
-          let cell = Ndarr.cell_numel model in
-          fun i -> dense.(i mod cell)
-      | Vscalar f -> fun _ -> f
-      | Vstr _ -> error "variable '%s' is a string in an element-wise loop" v)
-  | Ir.Eeye -> error "eye has no rank-N form"
-  | Ir.Escalar s ->
-      let c = eval_s fr (ref 0) s in
-      fun _ -> c
-  | Ir.Ebin (op, a, b) ->
-      incr ops;
-      let fa = compile_e_nd fr ops a model in
-      let fb = compile_e_nd fr ops b model in
-      fun i -> scalar_binop op (fa i) (fb i)
-  | Ir.Eneg a ->
-      incr ops;
-      let fa = compile_e_nd fr ops a model in
-      fun i -> -.fa i
-  | Ir.Enot a ->
-      incr ops;
-      let fa = compile_e_nd fr ops a model in
-      fun i -> of_bool (not (truthy (fa i)))
-  | Ir.Ecall1 (name, a) ->
-      incr ops;
-      let fa = compile_e_nd fr ops a model in
-      fun i -> scalar_builtin name [ fa i ]
-  | Ir.Ecall2 (name, a, b) ->
-      incr ops;
-      let fa = compile_e_nd fr ops a model in
-      let fb = compile_e_nd fr ops b model in
-      fun i -> scalar_builtin name [ fa i; fb i ]
+              "cannot mix a replicated (message-passing) matrix with a \
+               distributed one element-wise; MPI_Bcast the distributed \
+               operand first";
+          mats.(ix) <- m.Dmat.data
+      | Peval (ix, r) -> esc.(ix) <- exec_rpn fr r
+      | Peye -> ())
+    p.e_prelude;
+  let stack = fr.stack in
+  let ops = p.e_ops and args = p.e_a in
+  let n = Array.length ops in
+  let out = dst.Dmat.data in
+  let len = Dmat.local_len dst in
+  for i = 0 to len - 1 do
+    let sp = ref 0 in
+    for k = 0 to n - 1 do
+      let a = args.(k) in
+      match ops.(k) with
+      | 0 ->
+          stack.(!sp) <- esc.(a);
+          incr sp
+      | 1 ->
+          stack.(!sp) <- mats.(a).(i);
+          incr sp
+      | 8 ->
+          let r, c = Dmat.global_rc_of_local model i in
+          stack.(!sp) <- (if r = c then 1.0 else 0.0);
+          incr sp
+      | 2 -> stack.(!sp - 1) <- -.stack.(!sp - 1)
+      | 3 -> stack.(!sp - 1) <- of_bool (not (truthy stack.(!sp - 1)))
+      | 5 -> stack.(!sp - 1) <- call1 a stack.(!sp - 1)
+      | 6 ->
+          decr sp;
+          stack.(!sp - 1) <- call2 a stack.(!sp - 1) stack.(!sp)
+      | 7 -> error "%s" p.e_msgs.(a)
+      | 10 ->
+          decr sp;
+          stack.(!sp - 1) <- stack.(!sp - 1) +. stack.(!sp)
+      | 11 ->
+          decr sp;
+          stack.(!sp - 1) <- stack.(!sp - 1) -. stack.(!sp)
+      | 12 ->
+          decr sp;
+          stack.(!sp - 1) <- stack.(!sp - 1) *. stack.(!sp)
+      | 13 ->
+          decr sp;
+          stack.(!sp - 1) <- stack.(!sp - 1) /. stack.(!sp)
+      | 14 ->
+          decr sp;
+          stack.(!sp - 1) <- stack.(!sp) /. stack.(!sp - 1)
+      | 15 ->
+          decr sp;
+          stack.(!sp - 1) <- Float.pow stack.(!sp - 1) stack.(!sp)
+      | 16 ->
+          decr sp;
+          stack.(!sp - 1) <- of_bool (stack.(!sp - 1) < stack.(!sp))
+      | 17 ->
+          decr sp;
+          stack.(!sp - 1) <- of_bool (stack.(!sp - 1) <= stack.(!sp))
+      | 18 ->
+          decr sp;
+          stack.(!sp - 1) <- of_bool (stack.(!sp - 1) > stack.(!sp))
+      | 19 ->
+          decr sp;
+          stack.(!sp - 1) <- of_bool (stack.(!sp - 1) >= stack.(!sp))
+      | 20 ->
+          decr sp;
+          stack.(!sp - 1) <- of_bool (stack.(!sp - 1) = stack.(!sp))
+      | 21 ->
+          decr sp;
+          stack.(!sp - 1) <- of_bool (stack.(!sp - 1) <> stack.(!sp))
+      | 22 ->
+          decr sp;
+          stack.(!sp - 1) <-
+            of_bool (truthy stack.(!sp - 1) && truthy stack.(!sp))
+      | _ ->
+          decr sp;
+          stack.(!sp - 1) <-
+            of_bool (truthy stack.(!sp - 1) || truthy stack.(!sp))
+    done;
+    out.(i) <- stack.(0)
+  done;
+  Mpisim.Sim.flops (float_of_int (len * max 1 p.e_nops))
 
-let exec_elem fr ~dst ~model expr =
-  match lookup fr model with
-  | Vmat m ->
-      let ops = ref 0 in
-      let f = compile_e fr ops expr m in
-      let r =
-        if m.Dmat.full then
-          Dmat.create_full ~rows:m.Dmat.rows ~cols:m.Dmat.cols
-        else Dmat.create ~rows:m.Dmat.rows ~cols:m.Dmat.cols
-      in
-      let len = Dmat.local_len r in
-      for i = 0 to len - 1 do
-        r.Dmat.data.(i) <- f i
-      done;
-      Mpisim.Sim.flops (float_of_int (len * max 1 !ops));
-      Hashtbl.replace fr.env dst (Vmat r)
-  | Vnd t ->
-      let ops = ref 0 in
-      let f = compile_e_nd fr ops expr t in
-      let r =
-        if t.Ndarr.full then Ndarr.create_full t.Ndarr.dims
-        else Ndarr.create t.Ndarr.dims
-      in
-      let len = Ndarr.local_len r in
-      for i = 0 to len - 1 do
-        r.Ndarr.data.(i) <- f i
-      done;
-      Mpisim.Sim.flops (float_of_int (len * max 1 !ops));
-      Hashtbl.replace fr.env dst (Vnd r)
-  | Vscalar _ | Vstr _ ->
-      error "element-wise model '%s' is not a matrix or tensor" model
+(* The tensor variant of [exec_eplan]: the loop runs over the model
+   tensor's local elements.  A same-dims tensor operand reads its own
+   local element; a matrix operand whose shape matches the model's
+   trailing cell is frame-broadcast — an [i mod cell] read of its dense
+   form.  [mcell.(ix)] is 0 for a direct read, the broadcast modulus
+   otherwise. *)
+let exec_eplan_nd fr (p : eplan) ~(mats : float array array)
+    ~(mcell : int array) ~(esc : float array) ~(model : Ndarr.t)
+    ~(dst : Ndarr.t) =
+  Array.iter
+    (fun step ->
+      match step with
+      | Pfetch (ix, s) -> (
+          match getv fr s with
+          | Vnd t ->
+              if t.Ndarr.dims <> model.Ndarr.dims then
+                error "nonconformant element-wise tensor operands";
+              if not (Ndarr.same_locality t model) then
+                error
+                  "cannot mix a replicated (message-passing) tensor with a \
+                   distributed one element-wise";
+              mats.(ix) <- t.Ndarr.data;
+              mcell.(ix) <- 0
+          | Vmat m ->
+              if
+                m.Dmat.rows <> Ndarr.cell_rows model
+                || m.Dmat.cols <> Ndarr.cell_cols model
+              then
+                error
+                  "frame broadcast needs a %dx%d matrix matching the tensor \
+                   cell (got %dx%d)"
+                  (Ndarr.cell_rows model) (Ndarr.cell_cols model) m.Dmat.rows
+                  m.Dmat.cols;
+              mats.(ix) <- Dmat.to_dense m;
+              mcell.(ix) <- Ndarr.cell_numel model
+          | Vscalar f ->
+              mats.(ix) <- [| f |];
+              mcell.(ix) <- 1
+          | Vstr _ ->
+              error "variable '%s' is a string in an element-wise loop"
+                fr.names.(s))
+      | Peval (ix, r) -> esc.(ix) <- exec_rpn fr r
+      | Peye -> error "eye has no rank-N form")
+    p.e_prelude;
+  let stack = fr.stack in
+  let ops = p.e_ops and args = p.e_a in
+  let n = Array.length ops in
+  let out = dst.Ndarr.data in
+  let len = Ndarr.local_len dst in
+  for i = 0 to len - 1 do
+    let sp = ref 0 in
+    for k = 0 to n - 1 do
+      let a = args.(k) in
+      match ops.(k) with
+      | 0 ->
+          stack.(!sp) <- esc.(a);
+          incr sp
+      | 1 ->
+          let c = mcell.(a) in
+          stack.(!sp) <- (if c = 0 then mats.(a).(i) else mats.(a).(i mod c));
+          incr sp
+      | 8 -> error "eye has no rank-N form"
+      | 2 -> stack.(!sp - 1) <- -.stack.(!sp - 1)
+      | 3 -> stack.(!sp - 1) <- of_bool (not (truthy stack.(!sp - 1)))
+      | 5 -> stack.(!sp - 1) <- call1 a stack.(!sp - 1)
+      | 6 ->
+          decr sp;
+          stack.(!sp - 1) <- call2 a stack.(!sp - 1) stack.(!sp)
+      | 7 -> error "%s" p.e_msgs.(a)
+      | 10 ->
+          decr sp;
+          stack.(!sp - 1) <- stack.(!sp - 1) +. stack.(!sp)
+      | 11 ->
+          decr sp;
+          stack.(!sp - 1) <- stack.(!sp - 1) -. stack.(!sp)
+      | 12 ->
+          decr sp;
+          stack.(!sp - 1) <- stack.(!sp - 1) *. stack.(!sp)
+      | 13 ->
+          decr sp;
+          stack.(!sp - 1) <- stack.(!sp - 1) /. stack.(!sp)
+      | 14 ->
+          decr sp;
+          stack.(!sp - 1) <- stack.(!sp) /. stack.(!sp - 1)
+      | 15 ->
+          decr sp;
+          stack.(!sp - 1) <- Float.pow stack.(!sp - 1) stack.(!sp)
+      | 16 ->
+          decr sp;
+          stack.(!sp - 1) <- of_bool (stack.(!sp - 1) < stack.(!sp))
+      | 17 ->
+          decr sp;
+          stack.(!sp - 1) <- of_bool (stack.(!sp - 1) <= stack.(!sp))
+      | 18 ->
+          decr sp;
+          stack.(!sp - 1) <- of_bool (stack.(!sp - 1) > stack.(!sp))
+      | 19 ->
+          decr sp;
+          stack.(!sp - 1) <- of_bool (stack.(!sp - 1) >= stack.(!sp))
+      | 20 ->
+          decr sp;
+          stack.(!sp - 1) <- of_bool (stack.(!sp - 1) = stack.(!sp))
+      | 21 ->
+          decr sp;
+          stack.(!sp - 1) <- of_bool (stack.(!sp - 1) <> stack.(!sp))
+      | 22 ->
+          decr sp;
+          stack.(!sp - 1) <-
+            of_bool (truthy stack.(!sp - 1) && truthy stack.(!sp))
+      | _ ->
+          decr sp;
+          stack.(!sp - 1) <-
+            of_bool (truthy stack.(!sp - 1) || truthy stack.(!sp))
+    done;
+    out.(i) <- stack.(0)
+  done;
+  Mpisim.Sim.flops (float_of_int (len * max 1 p.e_nops))
 
-(* --- indices ------------------------------------------------------------ *)
+(* --- the code buffer ------------------------------------------------------- *)
 
-(* MATLAB indices are 1-based; linear indexing over a matrix is
-   column-major. *)
-let elem_coords fr (m : Dmat.t) idx =
+(* Ops take the frame as an argument (user-function code is shared by
+   every call frame on the rank) and return the next pc; jump targets
+   are int refs patched once the target address is known. *)
+type codebuf = {
+  mutable arr : (frame -> int) array;
+  mutable len : int;
+  lstb : Buffer.t option;
+}
+
+let newbuf lst = { arr = Array.make 64 (fun _ -> 0); len = 0; lstb = lst }
+
+let emit cb name (mk : int -> frame -> int) =
+  if cb.len = Array.length cb.arr then begin
+    let bigger = Array.make (2 * cb.len) cb.arr.(0) in
+    Array.blit cb.arr 0 bigger 0 cb.len;
+    cb.arr <- bigger
+  end;
+  let ix = cb.len in
+  cb.len <- ix + 1;
+  (match cb.lstb with
+  | Some b -> Buffer.add_string b (Printf.sprintf "%4d  %s\n" ix name)
+  | None -> ());
+  cb.arr.(ix) <- mk ix;
+  ix
+
+(* A straight-line op: do the work, fall through. *)
+let op1 cb name (f : frame -> unit) =
+  ignore
+    (emit cb name (fun ix ->
+         let nx = ix + 1 in
+         fun fr ->
+           f fr;
+           nx))
+
+(* A straight-line op with trace attribution. *)
+let plain cb name tid (f : frame -> unit) =
+  op1 cb name (fun fr ->
+      fr.st.tix.(fr.st.rk) <- tid;
+      f fr)
+
+(* A run-time library call: attribution + the per-rank call counter the
+   bench ablation prices. *)
+let lib cb name tid (f : frame -> unit) =
+  op1 cb name (fun fr ->
+      fr.st.tix.(fr.st.rk) <- tid;
+      incr fr.st.calls;
+      f fr)
+
+let finish cb = { c_ops = Array.sub cb.arr 0 cb.len; c_len = cb.len }
+
+(* The dispatch loop.  Every pc an op returns is either an emitted
+   index (>= 0, < len) or the code length (fall off the end), so the
+   loop condition is the only bounds check needed. *)
+let run_code (c : code) fr =
+  let pc = ref 0 in
+  let n = ref 0 in
+  let stop = c.c_len in
+  let ops = c.c_ops in
+  try
+    while !pc < stop do
+      pc := (Array.unsafe_get ops !pc) fr;
+      incr n
+    done;
+    State.dispatched := !State.dispatched + !n
+  with e ->
+    State.dispatched := !State.dispatched + !n;
+    raise e
+
+(* --- indices and selectors ------------------------------------------------- *)
+
+(* MATLAB indices are 1-based; linear indexing is column-major.  Index
+   expressions evaluate left to right, which fixes the order of any
+   embedded broadcast. *)
+let coords fr (m : Dmat.t) (idx : rpn list) =
   match idx with
   | [ i ] ->
-      let g = int_of_float (eval_scalar fr i) - 1 in
+      let g = int_of_float (eval_rpn fr i) - 1 in
       if m.Dmat.rows = 1 then (0, g)
       else if m.Dmat.cols = 1 then (g, 0)
       else (g mod m.Dmat.rows, g / m.Dmat.rows)
   | [ i; j ] ->
-      let a = int_of_float (eval_scalar fr i) - 1 in
-      let b = int_of_float (eval_scalar fr j) - 1 in
+      let a = int_of_float (eval_rpn fr i) - 1 in
+      let b = int_of_float (eval_rpn fr j) - 1 in
       (a, b)
   | _ -> error "unsupported number of indices"
 
 (* Full multi-index of a tensor element, 0-based, leading axis first;
    tensors take exactly one subscript per axis (no linear indexing). *)
-let nd_coords fr (t : Ndarr.t) idx : int array =
+let nd_coords fr (t : Ndarr.t) (idx : rpn list) : int array =
   if List.length idx <> Ndarr.rank t then
     error "a rank-%d tensor must be indexed with exactly %d subscripts (got %d)"
       (Ndarr.rank t) (Ndarr.rank t) (List.length idx);
-  Array.of_list (List.map (fun i -> int_of_float (eval_scalar fr i) - 1) idx)
+  Array.of_list (List.map (fun i -> int_of_float (eval_rpn fr i) - 1) idx)
 
-let sel_indices fr (extent : int) (s : Ir.sel) : int array =
+type dsel =
+  | Dall
+  | Dscalar of rpn
+  | Drange of rpn * rpn option * rpn
+  | Dvec of int
+
+let compile_sel dc (s : Ir.sel) : dsel =
   match s with
-  | Ir.Sel_all -> Array.init extent (fun i -> i)
-  | Ir.Sel_scalar e -> [| int_of_float (eval_scalar fr e) - 1 |]
-  | Ir.Sel_range (lo, step, hi) ->
-      let lo = eval_scalar fr lo in
-      let step = match step with Some s -> eval_scalar fr s | None -> 1. in
-      let hi = eval_scalar fr hi in
-      range_indices lo step hi
-  | Ir.Sel_vec v ->
-      let m = mat_of fr v in
+  | Ir.Sel_all -> Dall
+  | Ir.Sel_scalar e -> Dscalar (compile_sexpr dc e)
+  | Ir.Sel_range (lo, st, hi) ->
+      Drange
+        (compile_sexpr dc lo, Option.map (compile_sexpr dc) st,
+         compile_sexpr dc hi)
+  | Ir.Sel_vec v -> Dvec (slot dc v)
+
+let sel_exec fr (extent : int) (s : dsel) : int array =
+  match s with
+  | Dall -> Array.init extent (fun i -> i)
+  | Dscalar r -> [| int_of_float (eval_rpn fr r) - 1 |]
+  | Drange (lo, step, hi) ->
+      let lo = eval_rpn fr lo in
+      let step = match step with Some s -> eval_rpn fr s | None -> 1. in
+      let hi = eval_rpn fr hi in
+      State.range_indices lo step hi
+  | Dvec s ->
+      let m = mat_of fr s in
       let dense = Dmat.to_dense m in
       Array.map (fun f -> int_of_float f - 1) dense
 
-(* --- printing ----------------------------------------------------------- *)
+(* --- printing --------------------------------------------------------------- *)
 
-let is_root () = Mpisim.Sim.rank () = 0
+let is_root fr = fr.st.rk = 0
 
 let print_scalar fr name v =
-  if is_root () then
-    if name = "" then Buffer.add_string fr.out (Printf.sprintf "%g\n" v)
-    else Buffer.add_string fr.out (Printf.sprintf "%s = %g\n" name v)
+  if is_root fr then
+    if name = "" then Buffer.add_string fr.st.out (Printf.sprintf "%g\n" v)
+    else Buffer.add_string fr.st.out (Printf.sprintf "%s = %g\n" name v)
 
-(* --- instruction execution ---------------------------------------------- *)
+let print_str fr name s =
+  if is_root fr then
+    if name = "" then Buffer.add_string fr.st.out (s ^ "\n")
+    else Buffer.add_string fr.st.out (Printf.sprintf "%s = %s\n" name s)
 
-let rec exec_inst fr (i : Ir.inst) =
-  incr State.dispatched;
-  fr.trace.(fr.rk) <- inst_name i;
-  if is_lib_call i then incr fr.calls;
-  match i with
-  | Ir.Iscalar (v, Ir.Sstr s) -> Hashtbl.replace fr.env v (Vstr s)
-  | Ir.Iscalar (v, Ir.Svar w)
-    when match Hashtbl.find_opt fr.env w with
-         | Some (Vstr _) -> true
-         | _ -> false ->
-      Hashtbl.replace fr.env v (lookup fr w)
-  | Ir.Iscalar (v, s) -> Hashtbl.replace fr.env v (Vscalar (eval_scalar fr s))
-  | Ir.Ielem { dst; model; expr } -> exec_elem fr ~dst ~model expr
-  | Ir.Icopy (d, s) -> (
-      match lookup fr s with
-      | Vmat m ->
-          (* memory traffic of the copy, at roughly one word per flop *)
-          Mpisim.Sim.flops (float_of_int (Dmat.local_len m));
-          Hashtbl.replace fr.env d (Vmat (Dmat.copy m))
-      | Vnd t ->
-          Mpisim.Sim.flops (float_of_int (Ndarr.local_len t));
-          Hashtbl.replace fr.env d (Vnd (Ndarr.copy t))
-      | v -> Hashtbl.replace fr.env d v)
-  | Ir.Imatmul (d, a, b) ->
-      Hashtbl.replace fr.env d (Vmat (Ops.matmul (mat_of fr a) (mat_of fr b)))
-  | Ir.Imatmul_t (d, a, b) ->
-      Hashtbl.replace fr.env d
-        (Vmat (Ops.matmul_t (mat_of fr a) (mat_of fr b)))
-  | Ir.Idot (d, a, b) ->
-      Hashtbl.replace fr.env d (Vscalar (Ops.dot (mat_of fr a) (mat_of fr b)))
-  | Ir.Itranspose (d, a) ->
-      Hashtbl.replace fr.env d (Vmat (Ops.transpose (mat_of fr a)))
-  | Ir.Idiag (d, a) -> Hashtbl.replace fr.env d (Vmat (Ops.diag (mat_of fr a)))
-  | Ir.Iouter (d, a, b) ->
-      Hashtbl.replace fr.env d (Vmat (Ops.outer (mat_of fr a) (mat_of fr b)))
-  | Ir.Ireduce_all (d, k, a) ->
-      let v =
-        match lookup fr a with
-        | Vnd t -> (
-            match k with
-            | Ir.Rmean -> Ops.nd_mean_all t
-            | _ -> Ops.nd_reduce_all (rkind_to_red k) t)
-        | _ -> (
-            let m = mat_of fr a in
-            match k with
-            | Ir.Rmean -> Ops.mean_all m
-            | _ -> Ops.reduce_all (rkind_to_red k) m)
-      in
-      Hashtbl.replace fr.env d (Vscalar v)
-  | Ir.Ireduce_cols (d, k, a) ->
-      let m = mat_of fr a in
-      let v =
-        match k with
-        | Ir.Rmean -> Ops.mean_cols m
-        | _ -> Ops.reduce_cols (rkind_to_red k) m
-      in
-      Hashtbl.replace fr.env d (Vmat v)
-  | Ir.Inorm (d, a) -> Hashtbl.replace fr.env d (Vscalar (Ops.norm2 (mat_of fr a)))
-  | Ir.Iscan (d, k, a) ->
-      let sk = match k with Ir.Scumsum -> Ops.Cumsum | Ir.Scumprod -> Ops.Cumprod in
-      Hashtbl.replace fr.env d (Vmat (Ops.cumulative sk (mat_of fr a)))
-  | Ir.Isort { vdst; idst; arg } ->
-      let sorted, perm =
-        Ops.sort_vector ~with_index:(idst <> None) (mat_of fr arg)
-      in
-      Hashtbl.replace fr.env vdst (Vmat sorted);
-      (match (idst, perm) with
-      | Some d, Some p -> Hashtbl.replace fr.env d (Vmat p)
-      | None, _ -> ()
-      | Some _, None -> assert false)
-  | Ir.Ireduce_loc { vdst; idst; kind; arg } ->
-      let op = rkind_to_red kind in
-      let v, i = Ops.reduce_with_index op (mat_of fr arg) in
-      Hashtbl.replace fr.env vdst (Vscalar v);
-      Hashtbl.replace fr.env idst (Vscalar (float_of_int i))
-  | Ir.Itrapz (d, x, y) ->
-      let x = Option.map (mat_of fr) x in
-      Hashtbl.replace fr.env d (Vscalar (Ops.trapz ?x (mat_of fr y)))
-  | Ir.Ishift (d, s, k) ->
-      let k = int_of_float (eval_scalar fr k) in
-      Hashtbl.replace fr.env d (Vmat (Ops.circshift (mat_of fr s) k))
-  | Ir.Ibcast (d, m, idx) -> (
-      match lookup fr m with
-      | Vnd t ->
-          Hashtbl.replace fr.env d
-            (Vscalar (Ops.nd_bcast_elem t (nd_coords fr t idx)))
-      | _ ->
-          let mm = mat_of fr m in
-          let i, j = elem_coords fr mm idx in
-          Hashtbl.replace fr.env d (Vscalar (Ops.bcast_elem mm ~i ~j)))
-  | Ir.Ibcast_batch (items, m) ->
-      let mm = mat_of fr m in
-      let coords = List.map (fun (_, idx) -> elem_coords fr mm idx) items in
-      let values = Ops.bcast_elems mm coords in
-      List.iteri
-        (fun k (d, _) -> Hashtbl.replace fr.env d (Vscalar values.(k)))
-        items
-  | Ir.Ireduce_fused items ->
-      let slots =
-        List.map
-          (fun (_, r) ->
-            match r with
-            | Ir.Fsum m -> Ops.Fsum (mat_of fr m)
-            | Ir.Fmean m -> Ops.Fmean (mat_of fr m)
-            | Ir.Fdot (a, b) -> Ops.Fdot (mat_of fr a, mat_of fr b)
-            | Ir.Fnorm m -> Ops.Fnorm (mat_of fr m))
-          items
-      in
-      let values = Ops.reduce_fused slots in
-      List.iteri
-        (fun k (d, _) -> Hashtbl.replace fr.env d (Vscalar values.(k)))
-        items
-  | Ir.Isetelem (m, idx, v) -> (
-      match lookup fr m with
-      | Vnd t ->
-          let ix = nd_coords fr t idx in
-          let value = eval_scalar fr v in
-          Ops.nd_set_elem t ix value
-      | _ ->
-          let mm = mat_of fr m in
-          let i, j = elem_coords fr mm idx in
-          let value = eval_scalar fr v in
-          Ops.set_elem mm ~i ~j value)
-  | Ir.Iload { dst; file } -> (
-      let path = Filename.concat fr.datadir file in
-      match Mlang.Datafile.read path with
-      | rows, cols, data ->
-          Mpisim.Sim.flops (float_of_int (rows * cols));
-          Hashtbl.replace fr.env dst (Vmat (Dmat.of_dense ~rows ~cols data))
-      | exception Mlang.Datafile.Bad_data msg ->
-          error "load(%S): %s" file msg)
-  | Ir.Iconstruct { dst; kind; args } -> exec_construct fr dst kind args
-  | Ir.Iliteral { dst; rows; cols; elems } ->
-      let values = List.map (eval_scalar fr) elems in
-      let dense = Array.of_list values in
-      Hashtbl.replace fr.env dst (Vmat (Dmat.of_dense ~rows ~cols dense))
-  | Ir.Isection { dst; src; sels } -> exec_section fr dst src sels
-  | Ir.Isetsection { dst; sels; src } -> exec_setsection fr dst sels src
-  | Ir.Iconcat { dst; grid_rows; grid_cols; parts } ->
-      exec_concat fr dst grid_rows grid_cols parts
-  | Ir.Icalluser { rets; name; args } -> exec_call fr rets name args
-  | Ir.Iprint (name, Ir.Pscalar (Ir.Svar v))
-    when match Hashtbl.find_opt fr.env v with
-         | Some (Vstr _) -> true
-         | _ -> false -> (
-      match lookup fr v with
-      | Vstr s ->
-          if is_root () then
-            if name = "" then Buffer.add_string fr.out (s ^ "\n")
-            else Buffer.add_string fr.out (Printf.sprintf "%s = %s\n" name s)
-      | _ -> assert false)
-  | Ir.Iprint (name, Ir.Pscalar s) -> print_scalar fr name (eval_scalar fr s)
-  | Ir.Iprint (name, Ir.Pmat v) -> (
-      (* [format_root ~name:""] already omits the "name =" header for
-         disp, so the text is used as is. *)
-      match lookup fr v with
-      | Vnd t -> (
-          match Ndarr.format_root ~root:0 ~name t with
-          | Some text when is_root () -> Buffer.add_string fr.out text
-          | _ -> ())
-      | _ -> (
-          let m = mat_of fr v in
-          match Dmat.format_root ~root:0 ~name m with
-          | Some text when is_root () -> Buffer.add_string fr.out text
-          | _ -> ()))
-  | Ir.Iprint (name, Ir.Pstr s) ->
-      if is_root () then
-        if name = "" then Buffer.add_string fr.out (s ^ "\n")
-        else Buffer.add_string fr.out (Printf.sprintf "%s = %s\n" name s)
-  | Ir.Iprintf args -> (
-      match args with
-      | Ir.Sstr fmt :: rest ->
-          let values =
-            List.map
-              (fun a ->
-                match a with
-                | Ir.Sstr s -> Mlang.Fmtutil.S s
-                | _ -> Mlang.Fmtutil.F (eval_scalar fr a))
-              rest
-          in
-          if is_root () then
-            Buffer.add_string fr.out (Mlang.Fmtutil.format fmt values)
-      | _ -> error "fprintf: first argument must be a format string")
-  | Ir.Ierror msg -> error "%s" msg
-  | Ir.Iif (branches, els) ->
-      let rec pick = function
-        | [] -> exec_block fr els
-        | (c, blk) :: rest ->
-            if truthy (eval_scalar fr c) then exec_block fr blk else pick rest
-      in
-      pick branches
-  | Ir.Iwhile (c, blk) -> (
-      try
-        while truthy (eval_scalar fr c) do
-          try exec_block fr blk with Continue_exc -> ()
-        done
-      with Break_exc -> ())
-  | Ir.Ifor (v, start, step, stop, blk) -> (
-      let start = eval_scalar fr start in
-      let step = match step with Some s -> eval_scalar fr s | None -> 1. in
-      let stop = eval_scalar fr stop in
-      try
-        let k = ref 0 in
-        let continue_loop () =
-          let x = start +. (float_of_int !k *. step) in
-          if step >= 0. then x <= stop +. 1e-12 else x >= stop -. 1e-12
-        in
-        while continue_loop () do
-          let x = start +. (float_of_int !k *. step) in
-          Hashtbl.replace fr.env v (Vscalar x);
-          (try exec_block fr blk with Continue_exc -> ());
-          incr k
-        done
-      with Break_exc -> ())
-  | Ir.Impi_rank d ->
-      Hashtbl.replace fr.env d (Vscalar (float_of_int (Mpisim.Sim.rank ())))
-  | Ir.Impi_size d ->
-      Hashtbl.replace fr.env d (Vscalar (float_of_int (Mpisim.Sim.size ())))
-  | Ir.Impi_send (dest, tag, v) ->
-      let dst = int_of_float (eval_scalar fr dest) in
-      let tag = int_of_float (eval_scalar fr tag) in
-      let value =
-        match v with
-        | Ir.Ascalar (Ir.Sstr _) -> error "MPI_Send: cannot send a string"
-        | Ir.Ascalar s -> Vscalar (eval_scalar fr s)
-        | Ir.Amat m -> lookup fr m
-      in
-      State.mpi_send ~dst ~tag value
-  | Ir.Impi_recv (d, src, tag, is_matrix) ->
-      let src = int_of_float (eval_scalar fr src) in
-      let tag = int_of_float (eval_scalar fr tag) in
-      Hashtbl.replace fr.env d (State.mpi_recv ~src ~tag ~is_matrix)
-  | Ir.Impi_bcast (d, root, v) ->
-      let root = int_of_float (eval_scalar fr root) in
-      let value =
-        match v with
-        | Ir.Ascalar (Ir.Sstr _) -> error "MPI_Bcast: cannot send a string"
-        | Ir.Ascalar s -> Vscalar (eval_scalar fr s)
-        | Ir.Amat m -> lookup fr m
-      in
-      Hashtbl.replace fr.env d (State.mpi_bcast ~root value)
-  | Ir.Impi_probe (d, src, tag) ->
-      let src = int_of_float (eval_scalar fr src) in
-      let tag = int_of_float (eval_scalar fr tag) in
-      Hashtbl.replace fr.env d (Vscalar (State.mpi_probe ~src ~tag))
-  | Ir.Ibreak -> raise Break_exc
-  | Ir.Icontinue -> raise Continue_exc
-  | Ir.Ireturn -> raise Return_exc
+(* --- section / concat execution ------------------------------------------- *)
 
-and exec_construct fr dst kind args =
-  match (kind, args) with
-  | (Ir.Czeros | Ir.Cones | Ir.Crand | Ir.Crandn), _ :: _ :: _ :: _ ->
-      (* three or more size arguments: a rank-N tensor, distributed
-         over its leading axis.  rand/randn advance the replicated
-         sequence number first, exactly like the matrix forms. *)
-      (match kind with
-      | Ir.Crand | Ir.Crandn -> fr.rand_calls <- fr.rand_calls + 1
-      | _ -> ());
-      let seed = fr.seed + fr.rand_calls in
-      let dims =
-        Array.of_list
-          (List.map (fun a -> int_of_float (eval_scalar fr a)) args)
-      in
-      let t =
-        match kind with
-        | Ir.Czeros -> Ndarr.create dims
-        | Ir.Cones -> Ndarr.init dims (fun _ -> 1.)
-        | Ir.Crand -> Ndarr.init dims (fun g -> Runtime.Rng.uniform ~seed g)
-        | Ir.Crandn -> Ndarr.init dims (fun g -> Runtime.Rng.normal ~seed g)
-        | _ -> assert false
-      in
-      let len = Ndarr.local_len t in
-      if len > 0 then Mpisim.Sim.flops (float_of_int len);
-      Hashtbl.replace fr.env dst (Vnd t)
-  | _ -> exec_construct_mat fr dst kind args
-
-and exec_construct_mat fr dst kind args =
-  let arg n = List.nth args n in
-  let dims () =
-    match args with
-    | [ n ] ->
-        let n = int_of_float (eval_scalar fr n) in
-        (n, n)
-    | [ r; c ] ->
-        let r = int_of_float (eval_scalar fr r) in
-        let c = int_of_float (eval_scalar fr c) in
-        (r, c)
-    | _ -> error "constructor expects 1 or 2 size arguments"
-  in
-  let m =
-    match kind with
-    | Ir.Czeros ->
-        let r, c = dims () in
-        Dmat.create ~rows:r ~cols:c
-    | Ir.Cones ->
-        let r, c = dims () in
-        Dmat.init ~rows:r ~cols:c (fun _ -> 1.)
-    | Ir.Ceye ->
-        let r, c = dims () in
-        Dmat.init_rc ~rows:r ~cols:c (fun i j -> if i = j then 1. else 0.)
-    | Ir.Crand ->
-        fr.rand_calls <- fr.rand_calls + 1;
-        let seed = fr.seed + fr.rand_calls in
-        let r, c = dims () in
-        Dmat.init ~rows:r ~cols:c (fun g -> Runtime.Rng.uniform ~seed g)
-    | Ir.Crandn ->
-        fr.rand_calls <- fr.rand_calls + 1;
-        let seed = fr.seed + fr.rand_calls in
-        let r, c = dims () in
-        Dmat.init ~rows:r ~cols:c (fun g -> Runtime.Rng.normal ~seed g)
-    | Ir.Clinspace ->
-        let a = eval_scalar fr (arg 0) in
-        let b = eval_scalar fr (arg 1) in
-        let n = int_of_float (eval_scalar fr (arg 2)) in
-        let d = if n > 1 then (b -. a) /. float_of_int (n - 1) else 0. in
-        Dmat.init ~rows:1 ~cols:n (fun g -> a +. (float_of_int g *. d))
-    | Ir.Crange ->
-        let lo = eval_scalar fr (arg 0) in
-        let step = eval_scalar fr (arg 1) in
-        let hi = eval_scalar fr (arg 2) in
-        let n =
-          if step = 0. then 0
-          else
-            let raw = ((hi -. lo) /. step) +. 1e-9 in
-            if raw < 0. then 0 else int_of_float (Float.floor raw) + 1
-        in
-        Dmat.init ~rows:1 ~cols:(max n 0) (fun g ->
-            lo +. (float_of_int g *. step))
-  in
-  let len = Dmat.local_len m in
-  if len > 0 then Mpisim.Sim.flops (float_of_int len);
-  Hashtbl.replace fr.env dst (Vmat m)
-
-and exec_section fr dst src sels =
-  match lookup fr src with
+let rec exec_section fr dslot sslot (sels : dsel list) =
+  match getv fr sslot with
   | Vnd t ->
       if List.length sels <> Ndarr.rank t then
-        error
-          "a rank-%d tensor must be sectioned with exactly %d subscripts"
+        error "a rank-%d tensor must be sectioned with exactly %d subscripts"
           (Ndarr.rank t) (Ndarr.rank t);
       let idxs =
         Array.of_list
-          (List.mapi (fun axis s -> sel_indices fr t.Ndarr.dims.(axis) s) sels)
+          (List.mapi (fun axis s -> sel_exec fr t.Ndarr.dims.(axis) s) sels)
       in
-      Hashtbl.replace fr.env dst (Vnd (Ops.nd_section t idxs))
-  | _ -> exec_section_mat fr dst src sels
+      setnd fr dslot (Ops.nd_section t idxs)
+  | _ -> exec_section_mat fr dslot sslot sels
 
-and exec_section_mat fr dst src sels =
-  let m = mat_of fr src in
+and exec_section_mat fr dslot sslot (sels : dsel list) =
+  let m = mat_of fr sslot in
   match sels with
   | [ s ] ->
       if not (Dmat.is_vector m) then
         error "linear sections of a full matrix are not supported";
       let n = Dmat.numel m in
-      let idx = sel_indices fr n s in
+      let idx = sel_exec fr n s in
       let len = Array.length idx in
       let rows, cols = if m.Dmat.cols = 1 then (len, 1) else (1, len) in
-      Hashtbl.replace fr.env dst (Vmat (Ops.section_linear m idx ~rows ~cols))
+      setm fr dslot (Ops.section_linear m idx ~rows ~cols)
   | [ s1; s2 ] ->
-      let ri = sel_indices fr m.Dmat.rows s1 in
-      let rj = sel_indices fr m.Dmat.cols s2 in
-      Hashtbl.replace fr.env dst (Vmat (Ops.section m ri rj))
+      let ri = sel_exec fr m.Dmat.rows s1 in
+      let rj = sel_exec fr m.Dmat.cols s2 in
+      setm fr dslot (Ops.section m ri rj)
   | _ -> error "unsupported number of index selectors"
 
-(* dst(sels) = src: every rank walks the selected positions and the
-   owner of each target element stores the value (owner computes). *)
-and exec_setsection fr dst sels src =
-  match lookup fr dst with
+type dsrc = DSscalar of rpn | DSmat of int
+
+let rec exec_setsection fr dslot (sels : dsel list) (src : dsrc) =
+  match getv fr dslot with
   | Vnd t ->
       if List.length sels <> Ndarr.rank t then
-        error
-          "a rank-%d tensor must be sectioned with exactly %d subscripts"
+        error "a rank-%d tensor must be sectioned with exactly %d subscripts"
           (Ndarr.rank t) (Ndarr.rank t);
       let idxs =
         Array.of_list
-          (List.mapi (fun axis s -> sel_indices fr t.Ndarr.dims.(axis) s) sels)
+          (List.mapi (fun axis s -> sel_exec fr t.Ndarr.dims.(axis) s) sels)
       in
       let n = Array.fold_left (fun acc s -> acc * Array.length s) 1 idxs in
       let value =
         match src with
-        | Ir.Ascalar s ->
-            let c = eval_scalar fr s in
+        | DSscalar r ->
+            let c = eval_rpn fr r in
             fun _ -> c
-        | Ir.Amat v -> (
-            match lookup fr v with
+        | DSmat vs -> (
+            match getv fr vs with
             | Vnd s ->
                 if s.Ndarr.full <> t.Ndarr.full then
                   error
@@ -731,22 +1120,22 @@ and exec_setsection fr dst sels src =
             | Vstr _ -> error "cannot store a string into a tensor")
       in
       Ops.nd_set_section t idxs value
-  | _ -> exec_setsection_mat fr dst sels src
+  | _ -> exec_setsection_mat fr dslot sels src
 
-and exec_setsection_mat fr dst sels src =
-  let m = mat_of fr dst in
+and exec_setsection_mat fr dslot (sels : dsel list) (src : dsrc) =
+  let m = mat_of fr dslot in
   let value =
     match src with
-    | Ir.Ascalar s ->
-        let c = eval_scalar fr s in
+    | DSscalar r ->
+        let c = eval_rpn fr r in
         fun _ -> c
-    | Ir.Amat v ->
-        let s = mat_of fr v in
-        if not (Dmat.same_locality m s) then
+    | DSmat s ->
+        let sm = mat_of fr s in
+        if not (Dmat.same_locality m sm) then
           error
             "section assignment cannot mix a replicated (message-passing) \
              matrix with a distributed one";
-        let dense = Dmat.to_dense s in
+        let dense = Dmat.to_dense sm in
         fun k ->
           if k >= Array.length dense then
             error "section assignment size mismatch"
@@ -754,17 +1143,17 @@ and exec_setsection_mat fr dst sels src =
   in
   let check_src_len n =
     match src with
-    | Ir.Amat v ->
-        let s = mat_of fr v in
-        if Dmat.numel s <> n then error "section assignment size mismatch"
-    | Ir.Ascalar _ -> ()
+    | DSmat s ->
+        let sm = mat_of fr s in
+        if Dmat.numel sm <> n then error "section assignment size mismatch"
+    | DSscalar _ -> ()
   in
-  (match sels with
+  match sels with
   | [ s ] ->
       if not (Dmat.is_vector m) then
         error "linear section assignment on a full matrix is not supported";
       let n = Dmat.numel m in
-      let idx = sel_indices fr n s in
+      let idx = sel_exec fr n s in
       check_src_len (Array.length idx);
       Array.iteri
         (fun k g ->
@@ -774,8 +1163,8 @@ and exec_setsection_mat fr dst sels src =
         idx;
       Mpisim.Sim.flops (float_of_int (Array.length idx))
   | [ s1; s2 ] ->
-      let ri = sel_indices fr m.Dmat.rows s1 in
-      let rj = sel_indices fr m.Dmat.cols s2 in
+      let ri = sel_exec fr m.Dmat.rows s1 in
+      let rj = sel_exec fr m.Dmat.cols s2 in
       check_src_len (Array.length ri * Array.length rj);
       Array.iteri
         (fun a i ->
@@ -788,11 +1177,10 @@ and exec_setsection_mat fr dst sels src =
             rj)
         ri;
       Mpisim.Sim.flops (float_of_int (Array.length ri * Array.length rj))
-  | _ -> error "unsupported number of index selectors")
+  | _ -> error "unsupported number of index selectors"
 
-(* [A, B; C, D]: gather the blocks, assemble densely, redistribute. *)
-and exec_concat fr dst grid_rows grid_cols parts =
-  let blocks = List.map (fun v -> mat_of fr v) parts in
+let exec_concat fr dslot grid_rows grid_cols (parts : int list) =
+  let blocks = List.map (fun s -> mat_of fr s) parts in
   let n_full = List.length (List.filter (fun b -> b.Dmat.full) blocks) in
   if n_full > 0 && n_full < List.length blocks then
     error
@@ -804,177 +1192,904 @@ and exec_concat fr dst grid_rows grid_cols parts =
         Array.init grid_cols (fun j ->
             List.nth dense_blocks ((i * grid_cols) + j)))
   in
-  (* MATLAB drops empty operands from a literal: [[], 1, 2] is [1, 2],
-     and a grid row of nothing but empties contributes no rows. *)
   let grid =
     Array.to_list grid0
     |> List.filter_map (fun row ->
            match
-             List.filter
-               (fun (b, _) -> Dmat.numel b > 0)
-               (Array.to_list row)
+             List.filter (fun (b, _) -> Dmat.numel b > 0) (Array.to_list row)
            with
            | [] -> None
            | kept -> Some (Array.of_list kept))
     |> Array.of_list
   in
-  if Array.length grid = 0 then
-    Hashtbl.replace fr.env dst (Vmat (Dmat.create ~rows:0 ~cols:0))
+  if Array.length grid = 0 then setm fr dslot (Dmat.create ~rows:0 ~cols:0)
   else begin
-  (* widths/heights per grid row and column *)
-  let row_heights =
-    Array.map
+    let row_heights =
+      Array.map
+        (fun row ->
+          let h = (fst row.(0)).Dmat.rows in
+          Array.iter
+            (fun (b, _) ->
+              if b.Dmat.rows <> h then
+                error "inconsistent row counts in matrix literal")
+            row;
+          h)
+        grid
+    in
+    let total_cols =
+      Array.fold_left (fun acc (b, _) -> acc + b.Dmat.cols) 0 grid.(0)
+    in
+    Array.iter
+      (fun row ->
+        let w = Array.fold_left (fun acc (b, _) -> acc + b.Dmat.cols) 0 row in
+        if w <> total_cols then
+          error "inconsistent column counts in matrix literal")
+      grid;
+    let total_rows = Array.fold_left ( + ) 0 row_heights in
+    let out = Array.make (total_rows * total_cols) 0. in
+    let roff = ref 0 in
+    Array.iter
       (fun row ->
         let h = (fst row.(0)).Dmat.rows in
+        let coff = ref 0 in
         Array.iter
-          (fun (b, _) ->
-            if b.Dmat.rows <> h then
-              error "inconsistent row counts in matrix literal")
+          (fun (b, data) ->
+            for i = 0 to h - 1 do
+              Array.blit data (i * b.Dmat.cols) out
+                (((!roff + i) * total_cols) + !coff)
+                b.Dmat.cols
+            done;
+            coff := !coff + b.Dmat.cols)
           row;
-        h)
-      grid
-  in
-  let total_cols =
-    Array.fold_left (fun acc (b, _) -> acc + b.Dmat.cols) 0 grid.(0)
-  in
-  Array.iter
-    (fun row ->
-      let w = Array.fold_left (fun acc (b, _) -> acc + b.Dmat.cols) 0 row in
-      if w <> total_cols then
-        error "inconsistent column counts in matrix literal")
-    grid;
-  let total_rows = Array.fold_left ( + ) 0 row_heights in
-  let out = Array.make (total_rows * total_cols) 0. in
-  let roff = ref 0 in
-  Array.iter
-    (fun row ->
-      let h = (fst row.(0)).Dmat.rows in
-      let coff = ref 0 in
-      Array.iter
-        (fun (b, data) ->
-          for i = 0 to h - 1 do
-            Array.blit data
-              (i * b.Dmat.cols)
-              out
-              (((!roff + i) * total_cols) + !coff)
-              b.Dmat.cols
-          done;
-          coff := !coff + b.Dmat.cols)
-        row;
-      roff := !roff + h)
-    grid;
-  Mpisim.Sim.flops (float_of_int (total_rows * total_cols));
-  let m =
-    if n_full > 0 then Dmat.of_full ~rows:total_rows ~cols:total_cols out
-    else Dmat.of_dense ~rows:total_rows ~cols:total_cols out
-  in
-  Hashtbl.replace fr.env dst (Vmat m)
+        roff := !roff + h)
+      grid;
+    Mpisim.Sim.flops (float_of_int (total_rows * total_cols));
+    let m =
+      if n_full > 0 then Dmat.of_full ~rows:total_rows ~cols:total_cols out
+      else Dmat.of_dense ~rows:total_rows ~cols:total_cols out
+    in
+    setm fr dslot m
   end
 
-and exec_call fr rets name args =
-  let f =
-    match Hashtbl.find_opt fr.funcs name with
-    | Some f -> f
-    | None -> error "unknown function '%s'" name
+(* --- constructors ------------------------------------------------------------ *)
+
+let rec exec_construct_t fr dslot (kind : Ir.ckind) (rargs : rpn list) =
+  match (kind, rargs) with
+  | (Ir.Czeros | Ir.Cones | Ir.Crand | Ir.Crandn), _ :: _ :: _ :: _ ->
+      (* three or more size arguments: a rank-N tensor, distributed
+         over its leading axis.  rand/randn advance the replicated
+         sequence number first, exactly like the matrix forms. *)
+      (match kind with
+      | Ir.Crand | Ir.Crandn -> fr.st.rand_calls <- fr.st.rand_calls + 1
+      | _ -> ());
+      let seed = fr.st.seed + fr.st.rand_calls in
+      let dims =
+        Array.of_list (List.map (fun r -> int_of_float (eval_rpn fr r)) rargs)
+      in
+      let t =
+        match kind with
+        | Ir.Czeros -> Ndarr.create dims
+        | Ir.Cones -> Ndarr.init dims (fun _ -> 1.)
+        | Ir.Crand -> Ndarr.init dims (fun g -> Mpisim.Rng.uniform ~seed g)
+        | Ir.Crandn -> Ndarr.init dims (fun g -> Mpisim.Rng.normal ~seed g)
+        | _ -> assert false
+      in
+      let len = Ndarr.local_len t in
+      if len > 0 then Mpisim.Sim.flops (float_of_int len);
+      setnd fr dslot t
+  | _ -> exec_construct_mat fr dslot kind rargs
+
+and exec_construct_mat fr dslot (kind : Ir.ckind) (rargs : rpn list) =
+  let arg n = List.nth rargs n in
+  let dims () =
+    match rargs with
+    | [ n ] ->
+        let n = int_of_float (eval_rpn fr n) in
+        (n, n)
+    | [ r; c ] ->
+        let r = int_of_float (eval_rpn fr r) in
+        let c = int_of_float (eval_rpn fr c) in
+        (r, c)
+    | _ -> error "constructor expects 1 or 2 size arguments"
   in
-  if List.length args <> List.length f.Ir.f_params then
-    error "function '%s' expects %d arguments" name (List.length f.Ir.f_params);
-  let callee =
+  let m =
+    match kind with
+    | Ir.Czeros ->
+        let r, c = dims () in
+        Dmat.create ~rows:r ~cols:c
+    | Ir.Cones ->
+        let r, c = dims () in
+        Dmat.init ~rows:r ~cols:c (fun _ -> 1.)
+    | Ir.Ceye ->
+        let r, c = dims () in
+        Dmat.init_rc ~rows:r ~cols:c (fun i j -> if i = j then 1. else 0.)
+    | Ir.Crand ->
+        fr.st.rand_calls <- fr.st.rand_calls + 1;
+        let seed = fr.st.seed + fr.st.rand_calls in
+        let r, c = dims () in
+        Dmat.init ~rows:r ~cols:c (fun g -> Mpisim.Rng.uniform ~seed g)
+    | Ir.Crandn ->
+        fr.st.rand_calls <- fr.st.rand_calls + 1;
+        let seed = fr.st.seed + fr.st.rand_calls in
+        let r, c = dims () in
+        Dmat.init ~rows:r ~cols:c (fun g -> Mpisim.Rng.normal ~seed g)
+    | Ir.Clinspace ->
+        let a = eval_rpn fr (arg 0) in
+        let b = eval_rpn fr (arg 1) in
+        let n = int_of_float (eval_rpn fr (arg 2)) in
+        let d = if n > 1 then (b -. a) /. float_of_int (n - 1) else 0. in
+        Dmat.init ~rows:1 ~cols:n (fun g -> a +. (float_of_int g *. d))
+    | Ir.Crange ->
+        let lo = eval_rpn fr (arg 0) in
+        let step = eval_rpn fr (arg 1) in
+        let hi = eval_rpn fr (arg 2) in
+        let n =
+          if step = 0. then 0
+          else
+            let raw = ((hi -. lo) /. step) +. 1e-9 in
+            if raw < 0. then 0 else int_of_float (Float.floor raw) + 1
+        in
+        Dmat.init ~rows:1 ~cols:(max n 0) (fun g ->
+            lo +. (float_of_int g *. step))
+  in
+  let len = Dmat.local_len m in
+  if len > 0 then Mpisim.Sim.flops (float_of_int len);
+  setm fr dslot m
+
+(* --- decoded call arguments --------------------------------------------------- *)
+
+type darg = Dstr of string | Drpn of rpn | Dmarg of int
+
+type dfused = DFsum of int | DFmean of int | DFdot of int * int | DFnorm of int
+
+type dprintf = DPstr of string | DPrpn of rpn
+
+(* --- the instruction decoder --------------------------------------------------- *)
+
+(* [lp] is the enclosing decoded loop's (break, continue) jump targets,
+   [fend] the enclosing function's end target for [return].  At sites
+   where neither applies, break/continue/return raise [State]'s
+   control exceptions, which user-call ops re-convert to jumps, so a
+   break inside a callee exits the caller's loop. *)
+let rec decode_inst dc cb ~lp ~fend (i : Ir.inst) =
+  let tid = tid_of_inst i in
+  match i with
+  | Ir.Iscalar (v, Ir.Sstr s) ->
+      let d = slot dc v in
+      plain cb (Printf.sprintf "str %s" v) tid (fun fr -> setstr fr d s)
+  | Ir.Iscalar (v, Ir.Svar w) ->
+      let d = slot dc v in
+      let ws = slot dc w in
+      let r = compile_sexpr dc (Ir.Svar w) in
+      plain cb (Printf.sprintf "scalar %s <- %s" v w) tid (fun fr ->
+          if fr.tags.(ws) = t_str then begin
+            fr.tags.(d) <- t_str;
+            fr.vals.(d) <- fr.vals.(ws)
+          end
+          else sets fr d (eval_rpn fr r))
+  | Ir.Iscalar (v, s) ->
+      let d = slot dc v in
+      let r = compile_sexpr dc s in
+      (* the hottest op there is: flattened to a single closure *)
+      ignore
+        (emit cb (Printf.sprintf "scalar %s" v) (fun ix ->
+             let nx = ix + 1 in
+             fun fr ->
+               fr.st.tix.(fr.st.rk) <- tid;
+               sets fr d (eval_rpn fr r);
+               nx))
+  | Ir.Ielem { dst; model; expr } ->
+      let d = slot dc dst in
+      let ms = slot dc model in
+      let p = compile_eexpr dc expr in
+      let mats = Array.make (max 1 p.e_nmat) [||] in
+      let mcell = Array.make (max 1 p.e_nmat) 0 in
+      let esc = Array.make (max 1 p.e_nsc) 0. in
+      plain cb (Printf.sprintf "elem %s" dst) tid (fun fr ->
+          match getv fr ms with
+          | Vnd t ->
+              let r =
+                if t.Ndarr.full then Ndarr.create_full t.Ndarr.dims
+                else Ndarr.create t.Ndarr.dims
+              in
+              exec_eplan_nd fr p ~mats ~mcell ~esc ~model:t ~dst:r;
+              setnd fr d r
+          | _ ->
+              let m = mat_of fr ms in
+              let r =
+                if m.Dmat.full then
+                  Dmat.create_full ~rows:m.Dmat.rows ~cols:m.Dmat.cols
+                else Dmat.create ~rows:m.Dmat.rows ~cols:m.Dmat.cols
+              in
+              exec_eplan fr p ~mats ~esc ~model:m ~dst:r;
+              setm fr d r)
+  | Ir.Icopy (d, s) ->
+      let ds = slot dc d in
+      let ss = slot dc s in
+      lib cb (Printf.sprintf "copy %s <- %s" d s) tid (fun fr ->
+          match getv fr ss with
+          | Vmat m ->
+              Mpisim.Sim.flops (float_of_int (Dmat.local_len m));
+              setm fr ds (Dmat.copy m)
+          | Vnd t ->
+              Mpisim.Sim.flops (float_of_int (Ndarr.local_len t));
+              setnd fr ds (Ndarr.copy t)
+          | v -> setv fr ds v)
+  | Ir.Imatmul (d, a, b) ->
+      let ds = slot dc d and sa = slot dc a and sb = slot dc b in
+      lib cb (Printf.sprintf "matmul %s" d) tid (fun fr ->
+          setm fr ds (Ops.matmul (mat_of fr sa) (mat_of fr sb)))
+  | Ir.Imatmul_t (d, a, b) ->
+      let ds = slot dc d and sa = slot dc a and sb = slot dc b in
+      lib cb (Printf.sprintf "matmul_t %s" d) tid (fun fr ->
+          setm fr ds (Ops.matmul_t (mat_of fr sa) (mat_of fr sb)))
+  | Ir.Idot (d, a, b) ->
+      let ds = slot dc d and sa = slot dc a and sb = slot dc b in
+      lib cb (Printf.sprintf "dot %s" d) tid (fun fr ->
+          sets fr ds (Ops.dot (mat_of fr sa) (mat_of fr sb)))
+  | Ir.Itranspose (d, a) ->
+      let ds = slot dc d and sa = slot dc a in
+      lib cb (Printf.sprintf "transpose %s" d) tid (fun fr ->
+          setm fr ds (Ops.transpose (mat_of fr sa)))
+  | Ir.Idiag (d, a) ->
+      let ds = slot dc d and sa = slot dc a in
+      lib cb (Printf.sprintf "diag %s" d) tid (fun fr ->
+          setm fr ds (Ops.diag (mat_of fr sa)))
+  | Ir.Iouter (d, a, b) ->
+      let ds = slot dc d and sa = slot dc a and sb = slot dc b in
+      lib cb (Printf.sprintf "outer %s" d) tid (fun fr ->
+          setm fr ds (Ops.outer (mat_of fr sa) (mat_of fr sb)))
+  | Ir.Ireduce_all (d, k, a) ->
+      let ds = slot dc d and sa = slot dc a in
+      let f =
+        match k with
+        | Ir.Rmean -> Ops.mean_all
+        | _ -> Ops.reduce_all (State.rkind_to_red k)
+      in
+      let fnd =
+        match k with
+        | Ir.Rmean -> Ops.nd_mean_all
+        | _ -> Ops.nd_reduce_all (State.rkind_to_red k)
+      in
+      lib cb (Printf.sprintf "reduce_all %s" d) tid (fun fr ->
+          match getv fr sa with
+          | Vnd t -> sets fr ds (fnd t)
+          | _ -> sets fr ds (f (mat_of fr sa)))
+  | Ir.Ireduce_cols (d, k, a) ->
+      let ds = slot dc d and sa = slot dc a in
+      let f =
+        match k with
+        | Ir.Rmean -> Ops.mean_cols
+        | _ -> Ops.reduce_cols (State.rkind_to_red k)
+      in
+      lib cb (Printf.sprintf "reduce_cols %s" d) tid (fun fr ->
+          setm fr ds (f (mat_of fr sa)))
+  | Ir.Inorm (d, a) ->
+      let ds = slot dc d and sa = slot dc a in
+      lib cb (Printf.sprintf "norm %s" d) tid (fun fr ->
+          sets fr ds (Ops.norm2 (mat_of fr sa)))
+  | Ir.Iscan (d, k, a) ->
+      let ds = slot dc d and sa = slot dc a in
+      let sk = match k with Ir.Scumsum -> Ops.Cumsum | Ir.Scumprod -> Ops.Cumprod in
+      lib cb (Printf.sprintf "scan %s" d) tid (fun fr ->
+          setm fr ds (Ops.cumulative sk (mat_of fr sa)))
+  | Ir.Isort { vdst; idst; arg } ->
+      let vs = slot dc vdst and sa = slot dc arg in
+      let is = Option.map (slot dc) idst in
+      let with_index = idst <> None in
+      lib cb (Printf.sprintf "sort %s" vdst) tid (fun fr ->
+          let sorted, perm = Ops.sort_vector ~with_index (mat_of fr sa) in
+          setm fr vs sorted;
+          match (is, perm) with
+          | Some d, Some p -> setm fr d p
+          | None, _ -> ()
+          | Some _, None -> assert false)
+  | Ir.Ireduce_loc { vdst; idst; kind; arg } ->
+      let vs = slot dc vdst and is = slot dc idst and sa = slot dc arg in
+      let op = State.rkind_to_red kind in
+      lib cb (Printf.sprintf "reduce_loc %s" vdst) tid (fun fr ->
+          let v, ix = Ops.reduce_with_index op (mat_of fr sa) in
+          sets fr vs v;
+          sets fr is (float_of_int ix))
+  | Ir.Itrapz (d, x, y) ->
+      let ds = slot dc d and sy = slot dc y in
+      let sx = Option.map (slot dc) x in
+      lib cb (Printf.sprintf "trapz %s" d) tid (fun fr ->
+          let x = Option.map (mat_of fr) sx in
+          sets fr ds (Ops.trapz ?x (mat_of fr sy)))
+  | Ir.Ishift (d, s, k) ->
+      let ds = slot dc d and ss = slot dc s in
+      let rk = compile_sexpr dc k in
+      lib cb (Printf.sprintf "shift %s" d) tid (fun fr ->
+          let k = int_of_float (eval_rpn fr rk) in
+          setm fr ds (Ops.circshift (mat_of fr ss) k))
+  | Ir.Ibcast (d, m, idx) ->
+      let ds = slot dc d and ms = slot dc m in
+      let ridx = List.map (compile_sexpr dc) idx in
+      lib cb (Printf.sprintf "bcast %s" d) tid (fun fr ->
+          match getv fr ms with
+          | Vnd t -> sets fr ds (Ops.nd_bcast_elem t (nd_coords fr t ridx))
+          | _ ->
+              let mm = mat_of fr ms in
+              let i, j = coords fr mm ridx in
+              sets fr ds (Ops.bcast_elem mm ~i ~j))
+  | Ir.Ibcast_batch (items, m) ->
+      let ms = slot dc m in
+      let ditems =
+        List.map
+          (fun (d, idx) -> (slot dc d, List.map (compile_sexpr dc) idx))
+          items
+      in
+      lib cb (Printf.sprintf "bcast_batch x%d" (List.length items)) tid
+        (fun fr ->
+          let mm = mat_of fr ms in
+          let cs = List.map (fun (_, ridx) -> coords fr mm ridx) ditems in
+          let values = Ops.bcast_elems mm cs in
+          List.iteri (fun k (d, _) -> sets fr d values.(k)) ditems)
+  | Ir.Ireduce_fused items ->
+      let ditems =
+        List.map
+          (fun (d, r) ->
+            ( slot dc d,
+              match r with
+              | Ir.Fsum m -> DFsum (slot dc m)
+              | Ir.Fmean m -> DFmean (slot dc m)
+              | Ir.Fdot (a, b) -> DFdot (slot dc a, slot dc b)
+              | Ir.Fnorm m -> DFnorm (slot dc m) ))
+          items
+      in
+      lib cb (Printf.sprintf "reduce_fused x%d" (List.length items)) tid
+        (fun fr ->
+          let fslots =
+            List.map
+              (fun (_, r) ->
+                match r with
+                | DFsum m -> Ops.Fsum (mat_of fr m)
+                | DFmean m -> Ops.Fmean (mat_of fr m)
+                | DFdot (a, b) -> Ops.Fdot (mat_of fr a, mat_of fr b)
+                | DFnorm m -> Ops.Fnorm (mat_of fr m))
+              ditems
+          in
+          let values = Ops.reduce_fused fslots in
+          List.iteri (fun k (d, _) -> sets fr d values.(k)) ditems)
+  | Ir.Isetelem (m, idx, v) ->
+      let ms = slot dc m in
+      let ridx = List.map (compile_sexpr dc) idx in
+      let rv = compile_sexpr dc v in
+      lib cb (Printf.sprintf "setelem %s" m) tid (fun fr ->
+          match getv fr ms with
+          | Vnd t ->
+              let ix = nd_coords fr t ridx in
+              let value = eval_rpn fr rv in
+              Ops.nd_set_elem t ix value
+          | _ ->
+              let mm = mat_of fr ms in
+              let i, j = coords fr mm ridx in
+              let value = eval_rpn fr rv in
+              Ops.set_elem mm ~i ~j value)
+  | Ir.Iload { dst; file } ->
+      let ds = slot dc dst in
+      lib cb (Printf.sprintf "load %s" dst) tid (fun fr ->
+          let path = Filename.concat fr.st.datadir file in
+          match Mlang.Datafile.read path with
+          | rows, cols, data ->
+              Mpisim.Sim.flops (float_of_int (rows * cols));
+              setm fr ds (Dmat.of_dense ~rows ~cols data)
+          | exception Mlang.Datafile.Bad_data msg ->
+              error "load(%S): %s" file msg)
+  | Ir.Iconstruct { dst; kind; args } ->
+      let ds = slot dc dst in
+      let rargs = List.map (compile_sexpr dc) args in
+      lib cb (Printf.sprintf "construct %s" dst) tid (fun fr ->
+          exec_construct_t fr ds kind rargs)
+  | Ir.Iliteral { dst; rows; cols; elems } ->
+      let ds = slot dc dst in
+      let relems = List.map (compile_sexpr dc) elems in
+      lib cb (Printf.sprintf "literal %s %dx%d" dst rows cols) tid (fun fr ->
+          let values = List.map (eval_rpn fr) relems in
+          let dense = Array.of_list values in
+          setm fr ds (Dmat.of_dense ~rows ~cols dense))
+  | Ir.Isection { dst; src; sels } ->
+      let ds = slot dc dst and ss = slot dc src in
+      let dsels = List.map (compile_sel dc) sels in
+      lib cb (Printf.sprintf "section %s" dst) tid (fun fr ->
+          exec_section fr ds ss dsels)
+  | Ir.Isetsection { dst; sels; src } ->
+      let ds = slot dc dst in
+      let dsels = List.map (compile_sel dc) sels in
+      let dsrc =
+        match src with
+        | Ir.Ascalar s -> DSscalar (compile_sexpr dc s)
+        | Ir.Amat v -> DSmat (slot dc v)
+      in
+      lib cb (Printf.sprintf "setsection %s" dst) tid (fun fr ->
+          exec_setsection fr ds dsels dsrc)
+  | Ir.Iconcat { dst; grid_rows; grid_cols; parts } ->
+      let ds = slot dc dst in
+      let pslots = List.map (slot dc) parts in
+      lib cb (Printf.sprintf "concat %s" dst) tid (fun fr ->
+          exec_concat fr ds grid_rows grid_cols pslots)
+  | Ir.Icalluser { rets; name; args } ->
+      let ret_slots = List.map (slot dc) rets in
+      let dargs =
+        List.map
+          (fun a ->
+            match a with
+            | Ir.Ascalar (Ir.Sstr s) -> Dstr s
+            | Ir.Ascalar s -> Drpn (compile_sexpr dc s)
+            | Ir.Amat v -> Dmarg (slot dc v))
+          args
+      in
+      let nargs = List.length args in
+      let label = Printf.sprintf "call %s/%d" name nargs in
+      (match lp with
+      | None ->
+          plain cb label tid (fun fr ->
+              exec_call_t dc fr name nargs dargs ret_slots)
+      | Some (btgt, ctgt) ->
+          (* catch break/continue escaping the callee and turn them back
+             into the enclosing loop's jumps *)
+          ignore
+            (emit cb label (fun ix ->
+                 let nx = ix + 1 in
+                 fun fr ->
+                   fr.st.tix.(fr.st.rk) <- tid;
+                   match exec_call_t dc fr name nargs dargs ret_slots with
+                   | () -> nx
+                   | exception State.Break_exc -> !btgt
+                   | exception State.Continue_exc -> !ctgt)))
+  | Ir.Iprint (name, Ir.Pscalar (Ir.Svar v)) ->
+      let vs = slot dc v in
+      let r = compile_sexpr dc (Ir.Svar v) in
+      plain cb (Printf.sprintf "print %s" v) tid (fun fr ->
+          if fr.tags.(vs) = t_str then
+            match fr.vals.(vs) with
+            | Vstr s -> print_str fr name s
+            | _ -> assert false
+          else print_scalar fr name (eval_rpn fr r))
+  | Ir.Iprint (name, Ir.Pscalar s) ->
+      let r = compile_sexpr dc s in
+      plain cb "print scalar" tid (fun fr -> print_scalar fr name (eval_rpn fr r))
+  | Ir.Iprint (name, Ir.Pmat v) ->
+      let vs = slot dc v in
+      plain cb (Printf.sprintf "print mat %s" v) tid (fun fr ->
+          match getv fr vs with
+          | Vnd t -> (
+              match Ndarr.format_root ~root:0 ~name t with
+              | Some text when is_root fr -> Buffer.add_string fr.st.out text
+              | _ -> ())
+          | _ -> (
+              let m = mat_of fr vs in
+              match Dmat.format_root ~root:0 ~name m with
+              | Some text when is_root fr -> Buffer.add_string fr.st.out text
+              | _ -> ()))
+  | Ir.Iprint (name, Ir.Pstr s) ->
+      plain cb "print str" tid (fun fr -> print_str fr name s)
+  | Ir.Iprintf args -> (
+      match args with
+      | Ir.Sstr fmt :: rest ->
+          let dargs =
+            List.map
+              (fun a ->
+                match a with
+                | Ir.Sstr s -> DPstr s
+                | _ -> DPrpn (compile_sexpr dc a))
+              rest
+          in
+          plain cb "printf" tid (fun fr ->
+              let values =
+                List.map
+                  (fun a ->
+                    match a with
+                    | DPstr s -> Mlang.Fmtutil.S s
+                    | DPrpn r -> Mlang.Fmtutil.F (eval_rpn fr r))
+                  dargs
+              in
+              if is_root fr then
+                Buffer.add_string fr.st.out (Mlang.Fmtutil.format fmt values))
+      | _ ->
+          plain cb "printf (bad fmt)" tid (fun _ ->
+              error "fprintf: first argument must be a format string"))
+  | Ir.Ierror msg ->
+      plain cb "error" tid (fun _ -> error "%s" msg)
+  | Ir.Iif (branches, els) ->
+      let endt = ref (-1) in
+      List.iter
+        (fun (c, blk) ->
+          let r = compile_sexpr dc c in
+          let nextt = ref (-1) in
+          ignore
+            (emit cb "if cond" (fun ix ->
+                 let nx = ix + 1 in
+                 fun fr ->
+                   fr.st.tix.(fr.st.rk) <- tid;
+                   if truthy (eval_rpn fr r) then nx else !nextt));
+          decode_block dc cb ~lp ~fend blk;
+          ignore (emit cb "jump endif" (fun _ _ -> !endt));
+          nextt := cb.len)
+        branches;
+      decode_block dc cb ~lp ~fend els;
+      endt := cb.len
+  | Ir.Iwhile (c, blk) ->
+      let r = compile_sexpr dc c in
+      let endt = ref (-1) in
+      plain cb "while entry" tid (fun _ -> ());
+      let ltop = cb.len in
+      ignore
+        (emit cb "while cond" (fun ix ->
+             let nx = ix + 1 in
+             fun fr -> if truthy (eval_rpn fr r) then nx else !endt));
+      let cont = ref ltop in
+      decode_block dc cb ~lp:(Some (endt, cont)) ~fend blk;
+      ignore (emit cb "jump while" (fun _ _ -> ltop));
+      endt := cb.len
+  | Ir.Ifor (v, start, step, stop, blk) ->
+      let vslot = slot dc v in
+      let hs = hidden_slot dc in
+      let hp = hidden_slot dc in
+      let he = hidden_slot dc in
+      let hk = hidden_slot dc in
+      let rstart = compile_sexpr dc start in
+      let rstep = Option.map (compile_sexpr dc) step in
+      let rstop = compile_sexpr dc stop in
+      let endt = ref (-1) in
+      plain cb (Printf.sprintf "for %s entry" v) tid (fun fr ->
+          fr.sc.(hs) <- eval_rpn fr rstart;
+          fr.sc.(hp) <-
+            (match rstep with Some r -> eval_rpn fr r | None -> 1.);
+          fr.sc.(he) <- eval_rpn fr rstop;
+          fr.sc.(hk) <- 0.);
+      (* The iteration test appears twice — once as the loop header
+         (first entry, and the target of continue via the "next" op)
+         and once fused into the back edge, so steady-state iterations
+         cost one dispatch, not two.  Both run the same arithmetic in
+         the same order. *)
+      let iter_test fr =
+        let st0 = fr.sc.(hs) in
+        let sp = fr.sc.(hp) in
+        let x = st0 +. (fr.sc.(hk) *. sp) in
+        let go =
+          if sp >= 0. then x <= fr.sc.(he) +. 1e-12
+          else x >= fr.sc.(he) -. 1e-12
+        in
+        if go then begin
+          sets fr vslot x;
+          true
+        end
+        else false
+      in
+      ignore
+        (emit cb (Printf.sprintf "for %s iter" v) (fun ix ->
+             let nx = ix + 1 in
+             fun fr -> if iter_test fr then nx else !endt));
+      let body = cb.len in
+      let cont = ref (-1) in
+      decode_block dc cb ~lp:(Some (endt, cont)) ~fend blk;
+      cont := cb.len;
+      ignore
+        (emit cb (Printf.sprintf "for %s next" v) (fun _ fr ->
+             fr.sc.(hk) <- fr.sc.(hk) +. 1.;
+             if iter_test fr then body else !endt));
+      endt := cb.len
+  | Ir.Impi_rank d ->
+      let ds = slot dc d in
+      lib cb (Printf.sprintf "mpi_rank %s" d) tid (fun fr ->
+          sets fr ds (float_of_int (Mpisim.Sim.rank ())))
+  | Ir.Impi_size d ->
+      let ds = slot dc d in
+      lib cb (Printf.sprintf "mpi_size %s" d) tid (fun fr ->
+          sets fr ds (float_of_int (Mpisim.Sim.size ())))
+  | Ir.Impi_send (dest, tag, v) ->
+      let rd = compile_sexpr dc dest in
+      let rt = compile_sexpr dc tag in
+      let dv =
+        match v with
+        | Ir.Ascalar (Ir.Sstr _) -> None (* a run-time error *)
+        | Ir.Ascalar s -> Some (DSscalar (compile_sexpr dc s))
+        | Ir.Amat m -> Some (DSmat (slot dc m))
+      in
+      lib cb "mpi_send" tid (fun fr ->
+          let dst = int_of_float (eval_rpn fr rd) in
+          let tag = int_of_float (eval_rpn fr rt) in
+          let value =
+            match dv with
+            | None -> error "MPI_Send: cannot send a string"
+            | Some (DSscalar r) -> Vscalar (eval_rpn fr r)
+            | Some (DSmat s) -> getv fr s
+          in
+          State.mpi_send ~dst ~tag value)
+  | Ir.Impi_recv (d, src, tag, is_matrix) ->
+      let ds = slot dc d in
+      let rs = compile_sexpr dc src in
+      let rt = compile_sexpr dc tag in
+      lib cb (Printf.sprintf "mpi_recv %s" d) tid (fun fr ->
+          let src = int_of_float (eval_rpn fr rs) in
+          let tag = int_of_float (eval_rpn fr rt) in
+          match State.mpi_recv ~src ~tag ~is_matrix with
+          | Vscalar f -> sets fr ds f
+          | Vmat m -> setm fr ds m
+          | Vstr s -> setstr fr ds s
+          | Vnd _ -> assert false (* mpi_decode never builds tensors *))
+  | Ir.Impi_bcast (d, root, v) ->
+      let ds = slot dc d in
+      let rr = compile_sexpr dc root in
+      let dv =
+        match v with
+        | Ir.Ascalar (Ir.Sstr _) -> None
+        | Ir.Ascalar s -> Some (DSscalar (compile_sexpr dc s))
+        | Ir.Amat m -> Some (DSmat (slot dc m))
+      in
+      lib cb (Printf.sprintf "mpi_bcast %s" d) tid (fun fr ->
+          let root = int_of_float (eval_rpn fr rr) in
+          let value =
+            match dv with
+            | None -> error "MPI_Bcast: cannot send a string"
+            | Some (DSscalar r) -> Vscalar (eval_rpn fr r)
+            | Some (DSmat s) -> getv fr s
+          in
+          match State.mpi_bcast ~root value with
+          | Vscalar f -> sets fr ds f
+          | Vmat m -> setm fr ds m
+          | Vstr s -> setstr fr ds s
+          | Vnd _ -> assert false (* tensors are rejected before transport *))
+  | Ir.Impi_probe (d, src, tag) ->
+      let ds = slot dc d in
+      let rs = compile_sexpr dc src in
+      let rt = compile_sexpr dc tag in
+      lib cb (Printf.sprintf "mpi_probe %s" d) tid (fun fr ->
+          let src = int_of_float (eval_rpn fr rs) in
+          let tag = int_of_float (eval_rpn fr rt) in
+          sets fr ds (State.mpi_probe ~src ~tag))
+  | Ir.Ibreak -> (
+      match lp with
+      | Some (bt, _) ->
+          ignore
+            (emit cb "break" (fun _ fr ->
+                 fr.st.tix.(fr.st.rk) <- tid;
+                 !bt))
+      | None ->
+          plain cb "break (stray)" tid (fun _ -> raise State.Break_exc))
+  | Ir.Icontinue -> (
+      match lp with
+      | Some (_, ct) ->
+          ignore
+            (emit cb "continue" (fun _ fr ->
+                 fr.st.tix.(fr.st.rk) <- tid;
+                 !ct))
+      | None ->
+          plain cb "continue (stray)" tid (fun _ -> raise State.Continue_exc))
+  | Ir.Ireturn -> (
+      match fend with
+      | Some t ->
+          ignore
+            (emit cb "return" (fun _ fr ->
+                 fr.st.tix.(fr.st.rk) <- tid;
+                 !t))
+      | None -> plain cb "return (top)" tid (fun _ -> raise State.Return_exc))
+
+and decode_block dc cb ~lp ~fend (b : Ir.block) =
+  List.iter (decode_inst dc cb ~lp ~fend) b
+
+(* Decode a user function on first call (per rank), memoized; lazy
+   decoding keeps recursion trivially safe because a callee's code is
+   always resolved at execution time. *)
+and get_fentry dc fname =
+  match Hashtbl.find_opt dc.fdec fname with
+  | Some fe -> fe
+  | None -> (
+      match Hashtbl.find_opt dc.funcs fname with
+      | None -> error "unknown function '%s'" fname
+      | Some f -> decode_func dc f)
+
+and decode_func dc (f : Ir.func) =
+  let fdc =
     {
-      fr with
-      env = Hashtbl.create 16;
+      slot_of = Hashtbl.create 32;
+      nslots = 0;
+      rnames = [];
+      maxdepth = 4;
+      funcs = dc.funcs;
+      fdec = dc.fdec;
+      lst = dc.lst;
     }
   in
+  (match fdc.lst with
+  | Some b -> Buffer.add_string b (Printf.sprintf "function %s:\n" f.Ir.f_name)
+  | None -> ());
+  let params = List.map (fun (p, _) -> slot fdc p) f.Ir.f_params in
+  let rets = List.map (fun (r, _) -> (slot fdc r, r)) f.Ir.f_rets in
+  let cb = newbuf fdc.lst in
+  let fend = ref 0 in
+  decode_block fdc cb ~lp:None ~fend:(Some fend) f.Ir.f_body;
+  fend := cb.len;
+  let fe =
+    {
+      fe_code = finish cb;
+      fe_nslots = fdc.nslots;
+      fe_names = frame_names fdc;
+      fe_stack = fdc.maxdepth;
+      fe_params = params;
+      fe_rets = rets;
+      fe_fname = f.Ir.f_name;
+    }
+  in
+  Hashtbl.replace dc.fdec f.Ir.f_name fe;
+  fe
+
+(* Call-by-value user call: arguments evaluate left to right in the
+   caller's frame, the callee gets a fresh frame over shared rank
+   state, and return values copy back by slot. *)
+and exec_call_t dc fr fname nargs (dargs : darg list) (ret_slots : int list) =
+  let fe = get_fentry dc fname in
+  if nargs <> List.length fe.fe_params then
+    error "function '%s' expects %d arguments" fname (List.length fe.fe_params);
+  let cfr =
+    mk_frame ~nslots:fe.fe_nslots ~names:fe.fe_names ~stack:fe.fe_stack fr.st
+  in
   List.iter2
-    (fun (p, _) a ->
-      let v =
-        match a with
-        | Ir.Ascalar (Ir.Sstr s) -> Vstr s
-        | Ir.Ascalar s -> Vscalar (eval_scalar fr s)
-        | Ir.Amat v -> (
-            match lookup fr v with
-            | Vmat m -> Vmat (Dmat.copy m) (* call by value *)
-            | Vnd t -> Vnd (Ndarr.copy t)
-            | other -> other)
-      in
-      Hashtbl.replace callee.env p v)
-    f.Ir.f_params args;
-  (try exec_block callee f.Ir.f_body with Return_exc -> ());
-  fr.rand_calls <- callee.rand_calls;
+    (fun pslot a ->
+      match a with
+      | Dstr s -> setstr cfr pslot s
+      | Drpn r -> sets cfr pslot (eval_rpn fr r)
+      | Dmarg s -> (
+          match getv fr s with
+          | Vmat m -> setm cfr pslot (Dmat.copy m) (* call by value *)
+          | Vnd t -> setnd cfr pslot (Ndarr.copy t)
+          | v -> setv cfr pslot v))
+    fe.fe_params dargs;
+  (try run_code fe.fe_code cfr with State.Return_exc -> ());
   List.iter2
-    (fun r (rv, _) ->
-      match Hashtbl.find_opt callee.env rv with
-      | Some v -> Hashtbl.replace fr.env r v
-      | None -> error "function '%s' did not assign return value '%s'" name rv)
-    rets f.Ir.f_rets
+    (fun r (rv, rname) ->
+      if cfr.tags.(rv) = t_undef then
+        error "function '%s' did not assign return value '%s'" fname rname
+      else setv fr r (getv cfr rv))
+    ret_slots fe.fe_rets
 
-and exec_block fr (b : Ir.block) = List.iter (exec_inst fr) b
+(* --- whole-program decode ---------------------------------------------------- *)
 
-(* --- coordinated checkpointing ------------------------------------------- *)
+(* With checkpointing off the whole body flattens into one code array
+   (fastest).  With checkpointing on, the top level stays structured so
+   checkpoint boundaries land before every top-level statement and at
+   the top of every iteration of a top-level loop, with [Ptop]/[Ploop]
+   program counters and for-loop bound freezing. *)
+type unit_t =
+  | Ustmt of code
+  | Ufor of {
+      uvslot : int;
+      ustart : rpn;
+      ustep : rpn option;
+      ustop : rpn;
+      ubody : code;
+    }
+  | Uwhile of { ucond : rpn; ubody : code }
 
-type pc = State.pc = Ptop of int | Ploop of int * int * (float * float * float) option
+type top = Flat of code | Structured of unit_t array
 
-type snapshot = State.snapshot = {
-  sn_boundary : int;
-  sn_pc : pc;
-  sn_env : (string * value) array;
-  sn_rand_calls : int;
-  sn_calls : int;
-  sn_out : string;
+type decoded = {
+  d_top : top;
+  d_slot_of : (string, int) Hashtbl.t;
+  d_nslots : int;
+  d_names : string array;
+  d_stack : int;
 }
 
-let copy_value = State.copy_value
+let decode (prog : Ir.prog) ~structured ~lst : decoded =
+  let funcs = Hashtbl.create 8 in
+  List.iter
+    (fun (f : Ir.func) -> Hashtbl.replace funcs f.Ir.f_name f)
+    prog.Ir.p_funcs;
+  let dc =
+    {
+      slot_of = Hashtbl.create 64;
+      nslots = 0;
+      rnames = [];
+      maxdepth = 4;
+      funcs;
+      fdec = Hashtbl.create 8;
+      lst;
+    }
+  in
+  (* intern the declared variables first: stable slot numbering, and
+     snapshot restore can find every name *)
+  List.iter (fun (v, _) -> ignore (slot dc v)) prog.Ir.p_vars;
+  let top =
+    if structured then
+      Structured
+        (Array.of_list
+           (List.map
+              (fun st ->
+                match st with
+                | Ir.Ifor (v, start, step, stop, blk) ->
+                    let uvslot = slot dc v in
+                    let ustart = compile_sexpr dc start in
+                    let ustep = Option.map (compile_sexpr dc) step in
+                    let ustop = compile_sexpr dc stop in
+                    let cb = newbuf lst in
+                    decode_block dc cb ~lp:None ~fend:None blk;
+                    Ufor { uvslot; ustart; ustep; ustop; ubody = finish cb }
+                | Ir.Iwhile (c, blk) ->
+                    let ucond = compile_sexpr dc c in
+                    let cb = newbuf lst in
+                    decode_block dc cb ~lp:None ~fend:None blk;
+                    Uwhile { ucond; ubody = finish cb }
+                | inst ->
+                    let cb = newbuf lst in
+                    decode_inst dc cb ~lp:None ~fend:None inst;
+                    Ustmt (finish cb))
+              prog.Ir.p_body))
+    else begin
+      let cb = newbuf lst in
+      decode_block dc cb ~lp:None ~fend:None prog.Ir.p_body;
+      Flat (finish cb)
+    end
+  in
+  (* a listing run forces every function so the output is complete *)
+  (match lst with
+  | Some _ -> List.iter (fun (f : Ir.func) -> ignore (decode_func dc f)) prog.Ir.p_funcs
+  | None -> ());
+  {
+    d_top = top;
+    d_slot_of = dc.slot_of;
+    d_nslots = dc.nslots;
+    d_names = frame_names dc;
+    d_stack = dc.maxdepth;
+  }
 
-(* Snapshots deep-copy in both directions: matrices are mutated in
-   place (element and section assignment), so sharing would let the
-   next attempt corrupt the very state it must roll back to. *)
-let env_snapshot env =
-  Array.of_list (Hashtbl.fold (fun k v acc -> (k, copy_value v) :: acc) env [])
+let listing (prog : Ir.prog) : string =
+  let b = Buffer.create 1024 in
+  Buffer.add_string b "main:\n";
+  ignore (decode prog ~structured:false ~lst:(Some b));
+  Buffer.contents b
 
-let env_restore env saved =
-  Hashtbl.reset env;
-  Array.iter (fun (k, v) -> Hashtbl.replace env k (copy_value v)) saved
+(* --- checkpointing ------------------------------------------------------------ *)
 
-type ck = State.ck = {
-  ck_interval : float;
-  ck_slots : snapshot list array;
-  mutable ck_next : float;
-  mutable ck_boundary : int;
-}
+(* Snapshots are name-keyed (the [State] format): named, defined slots
+   only — hidden loop slots are engine state, not program state, and
+   are re-derived on replay. *)
+let env_of_frame (fr : frame) =
+  let acc = ref [] in
+  for i = Array.length fr.names - 1 downto 0 do
+    if fr.names.(i) <> "" && fr.tags.(i) <> t_undef then
+      acc := (fr.names.(i), State.copy_value (getv fr i)) :: !acc
+  done;
+  Array.of_list !acc
 
-let at_boundary fr ck pcv =
-  fr.trace.(fr.rk) <- "checkpoint vote";
-  State.at_boundary ck ~rk:fr.rk
-    ~mk_env:(fun () -> env_snapshot fr.env)
-    ~rand_calls:fr.rand_calls ~calls:!(fr.calls) ~out:fr.out pcv
+let restore_frame (d : decoded) fr (saved : (string * value) array) =
+  Array.fill fr.tags 0 (Array.length fr.tags) t_undef;
+  Array.iter
+    (fun (k, v) ->
+      match Hashtbl.find_opt d.d_slot_of k with
+      | Some s -> setv fr s (State.copy_value v)
+      | None -> ())
+    saved
 
-(* Top-level execution with checkpoint boundaries: before every plain
-   statement and at the top of every iteration of a top-level loop (the
-   apps' hot loops are top level, so long runs cross many boundaries).
-   [resume] skips straight to a snapshot's program counter; nested
-   statements need no skipping because boundaries are only ever taken
-   at top level. *)
-let exec_top fr ck resume (body : Ir.block) =
-  let stmts = Array.of_list body in
+let at_boundary fr (ck : State.ck) pcv =
+  fr.st.tix.(fr.st.rk) <- 1 (* checkpoint vote *);
+  State.at_boundary ck ~rk:fr.st.rk
+    ~mk_env:(fun () -> env_of_frame fr)
+    ~rand_calls:fr.st.rand_calls ~calls:!(fr.st.calls) ~out:fr.st.out pcv
+
+(* Structured top-level execution with checkpoint boundaries. *)
+let exec_top fr ck resume (units : unit_t array) =
   let start_i, initial_loop =
     match resume with
     | None -> (0, None)
-    | Some (Ptop i) -> (i, None)
-    | Some (Ploop (i, k, bounds)) -> (i, Some (k, bounds))
+    | Some (State.Ptop i) -> (i, None)
+    | Some (State.Ploop (i, k, bounds)) -> (i, Some (k, bounds))
   in
   let loop_resume = ref initial_loop in
-  for i = start_i to Array.length stmts - 1 do
-    match stmts.(i) with
-    | Ir.Ifor (v, start_e, step_e, stop_e, blk) ->
+  for i = start_i to Array.length units - 1 do
+    match units.(i) with
+    | Ufor { uvslot; ustart; ustep; ustop; ubody } ->
         let k0, (start, step, stop) =
           match !loop_resume with
           | Some (k, Some bounds) -> (k, bounds)
           | _ ->
-              let start = eval_scalar fr start_e in
+              let start = eval_rpn fr ustart in
               let step =
-                match step_e with Some s -> eval_scalar fr s | None -> 1.
+                match ustep with Some s -> eval_rpn fr s | None -> 1.
               in
-              let stop = eval_scalar fr stop_e in
+              let stop = eval_rpn fr ustop in
               (0, (start, step, stop))
         in
         loop_resume := None;
@@ -985,31 +2100,31 @@ let exec_top fr ck resume (body : Ir.block) =
              if step >= 0. then x <= stop +. 1e-12 else x >= stop -. 1e-12
            in
            while continue_loop () do
-             at_boundary fr ck (Ploop (i, !k, Some (start, step, stop)));
+             at_boundary fr ck (State.Ploop (i, !k, Some (start, step, stop)));
              let x = start +. (float_of_int !k *. step) in
-             Hashtbl.replace fr.env v (Vscalar x);
-             (try exec_block fr blk with Continue_exc -> ());
+             sets fr uvslot x;
+             (try run_code ubody fr with State.Continue_exc -> ());
              incr k
            done
-         with Break_exc -> ())
-    | Ir.Iwhile (c, blk) ->
+         with State.Break_exc -> ())
+    | Uwhile { ucond; ubody } ->
         let k0 = match !loop_resume with Some (k, None) -> k | _ -> 0 in
         loop_resume := None;
         (try
            let k = ref k0 in
-           while truthy (eval_scalar fr c) do
-             at_boundary fr ck (Ploop (i, !k, None));
-             (try exec_block fr blk with Continue_exc -> ());
+           while truthy (eval_rpn fr ucond) do
+             at_boundary fr ck (State.Ploop (i, !k, None));
+             (try run_code ubody fr with State.Continue_exc -> ());
              incr k
            done
-         with Break_exc -> ())
-    | inst ->
+         with State.Break_exc -> ())
+    | Ustmt c ->
         loop_resume := None;
-        at_boundary fr ck (Ptop i);
-        exec_inst fr inst
+        at_boundary fr ck (State.Ptop i);
+        run_code c fr
   done
 
-(* --- entry points -------------------------------------------------------- *)
+(* --- entry points -------------------------------------------------------------- *)
 
 type captured = State.captured =
   | Cscalar of float
@@ -1045,76 +2160,83 @@ type run_result = State.run_result =
       report : Mpisim.Sim.report;
     }
 
-let describe_failure = State.describe_failure
+type recovery = State.recovery = {
+  r_result : run_result;
+  r_attempts : int;
+  r_gave_up : bool;
+  r_reports : Mpisim.Sim.report list;
+  r_penalty : float;
+}
 
-(* One simulated execution of [prog]: build the per-rank frames (optionally
-   restored from [restore]'s snapshots), run to completion or failure, and
-   return the structured result together with the sim report. *)
 let attempt ?(capture = []) ~seed ~datadir ~machine ~nprocs ~attempt:att
     ~ckpt_interval ~slots ~restore (prog : Ir.prog) :
-    run_result * Mpisim.Sim.report =
+    State.run_result * Mpisim.Sim.report =
   let out = Buffer.create 256 in
   (match restore with
-  | Some (snaps : snapshot array) -> Buffer.add_string out snaps.(0).sn_out
+  | Some (snaps : State.snapshot array) ->
+      Buffer.add_string out snaps.(0).State.sn_out
   | None -> ());
-  let funcs = Hashtbl.create 8 in
-  List.iter
-    (fun (f : Ir.func) -> Hashtbl.replace funcs f.Ir.f_name f)
-    prog.Ir.p_funcs;
-  let trace = Array.make nprocs "startup" in
+  let tix = Array.make nprocs 0 (* "startup" *) in
   Array.fill slots 0 nprocs [];
+  let structured = ckpt_interval > 0. in
   let outcome, report =
     Mpisim.Sim.run_report ~attempt:att ~machine ~nprocs (fun rank ->
+        let st =
+          { out; rand_calls = 0; calls = ref 0; seed; datadir; rk = rank; tix }
+        in
+        (* decode per rank: preallocated operand buffers may be live
+           across a communication suspension, so they are rank-private *)
+        let d = decode prog ~structured ~lst:None in
         let fr =
-          {
-            env = Hashtbl.create 64;
-            prog;
-            funcs;
-            out;
-            rand_calls = 0;
-            calls = ref 0;
-            seed;
-            datadir;
-            rk = rank;
-            trace;
-          }
+          mk_frame ~nslots:d.d_nslots ~names:d.d_names ~stack:d.d_stack st
         in
         let resume =
           match restore with
           | None -> None
           | Some snaps ->
               let s = snaps.(rank) in
-              env_restore fr.env s.sn_env;
-              fr.rand_calls <- s.sn_rand_calls;
-              fr.calls := s.sn_calls;
-              Some s.sn_pc
+              restore_frame d fr s.State.sn_env;
+              st.rand_calls <- s.State.sn_rand_calls;
+              st.calls := s.State.sn_calls;
+              Some s.State.sn_pc
         in
-        if ckpt_interval > 0. then begin
-          let ck =
-            {
-              ck_interval = ckpt_interval;
-              ck_slots = slots;
-              ck_next = 0.;
-              ck_boundary = 0;
-            }
-          in
-          exec_top fr ck resume prog.Ir.p_body
-        end
-        else exec_block fr prog.Ir.p_body;
+        (match d.d_top with
+        | Structured units ->
+            let ck =
+              {
+                State.ck_interval = ckpt_interval;
+                ck_slots = slots;
+                ck_next = 0.;
+                ck_boundary = 0;
+              }
+            in
+            exec_top fr ck resume units
+        | Flat c -> run_code c fr);
         let caps =
           List.filter_map
             (fun name ->
-              match Hashtbl.find_opt fr.env name with
-              | Some (Vscalar f) -> Some (name, Cscalar f)
-              | Some (Vmat m) ->
-                  let dense = Dmat.to_dense m in
-                  Some (name, Cmat (m.Dmat.rows, m.Dmat.cols, dense))
-              | Some (Vnd t) ->
-                  Some (name, Cnd (Array.copy t.Ndarr.dims, Ndarr.to_dense t))
-              | Some (Vstr _) | None -> None)
+              match Hashtbl.find_opt d.d_slot_of name with
+              | None -> None
+              | Some s -> (
+                  match fr.tags.(s) with
+                  | 1 -> Some (name, Cscalar fr.sc.(s))
+                  | 2 -> (
+                      match fr.vals.(s) with
+                      | Vmat m ->
+                          let dense = Dmat.to_dense m in
+                          Some (name, Cmat (m.Dmat.rows, m.Dmat.cols, dense))
+                      | _ -> None)
+                  | 4 -> (
+                      match fr.vals.(s) with
+                      | Vnd t ->
+                          Some
+                            ( name,
+                              Cnd (Array.copy t.Ndarr.dims, Ndarr.to_dense t) )
+                      | _ -> None)
+                  | _ -> None))
             capture
         in
-        (caps, !(fr.calls)))
+        (caps, !(st.calls)))
   in
   let result =
     match outcome with
@@ -1125,22 +2247,15 @@ let attempt ?(capture = []) ~seed ~datadir ~machine ~nprocs ~attempt:att
         Partial
           {
             failed_rank = rank;
-            operation = trace.(rank);
-            detail = describe_failure exn;
+            operation = trace_names.(tix.(rank));
+            detail = State.describe_failure exn;
             kind = classify_failure exn;
             report;
           }
-    | Error e -> raise e (* Deadlock and internal errors keep raising *)
+    | Error e -> raise e
   in
   (result, report)
 
-(* Run [prog] on [nprocs] simulated processors of [machine].  [capture]
-   names variables whose final values are gathered for verification.
-   A failure on any rank — run-time errors, receive timeouts under a
-   fault model, exhausted retransmission budgets, permanent kills —
-   degrades to a structured [Partial] naming the rank, the operation it
-   was executing, the failure class, and the sim report (fault
-   counters) accumulated up to the abort. *)
 let run_result ?capture ?(seed = 42) ?(datadir = ".") ~machine ~nprocs
     (prog : Ir.prog) : run_result =
   fst
@@ -1151,16 +2266,6 @@ let run ?capture ?seed ?datadir ~machine ~nprocs prog =
   match run_result ?capture ?seed ?datadir ~machine ~nprocs prog with
   | Complete o -> o
   | Partial p -> raise (Runtime_error p.detail)
-
-(* --- the recovery driver ------------------------------------------------- *)
-
-type recovery = State.recovery = {
-  r_result : run_result;
-  r_attempts : int;
-  r_gave_up : bool;
-  r_reports : Mpisim.Sim.report list;
-  r_penalty : float;
-}
 
 let run_recovering ?capture ?(seed = 42) ?(datadir = ".")
     ?(ckpt_interval = 0.) ?(max_recoveries = 0) ~machine ~nprocs

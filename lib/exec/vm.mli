@@ -1,6 +1,14 @@
-(** The SPMD virtual machine: executes the compiler's IR on the machine
-    simulator — the moral equivalent of running the emitted C linked
-    against the MPI run-time library on the modeled hardware. *)
+(** The SPMD executor: runs the compiler's IR on the machine simulator —
+    the moral equivalent of running the emitted C linked against the MPI
+    run-time library on the modeled hardware.
+
+    Each rank decodes the per-rank IR program once into flat arrays of
+    instruction closures with resolved jump targets, array-indexed
+    variable slots (no environment hashing), closure-tree scalar
+    expressions, and element loops that run RPN programs over an
+    unboxed float stack and preallocated operand buffers, then runs
+    that threaded code.  The result types, failure
+    classes and checkpoint format live in {!State}. *)
 
 exception Runtime_error of string
 (** Any execution failure: undefined variables, bounds, conformability,
@@ -61,6 +69,20 @@ type run_result = State.run_result =
           under a fault model, a permanent rank kill, or an exhausted
           retransmission budget. *)
 
+type recovery = State.recovery = {
+  r_result : run_result;  (** the final attempt's result *)
+  r_attempts : int;  (** run attempts made (1 = no recovery needed) *)
+  r_gave_up : bool;  (** a recoverable failure outlived the budget *)
+  r_reports : Mpisim.Sim.report list;  (** one per attempt, oldest first *)
+  r_penalty : float;  (** simulated backoff seconds charged before retries *)
+}
+
+val listing : Spmd.Ir.prog -> string
+(** Decode the program (flat mode, plus every user function) and return
+    a human-readable listing of the emitted ops — one line per decoded
+    op, with resolved pc addresses.  Executes nothing; used by the
+    golden decode tests. *)
+
 val run_result :
   ?capture:string list ->
   ?seed:int ->
@@ -84,14 +106,6 @@ val run :
   outcome
 (** Like {!run_result} but raises {!Runtime_error} with the failure
     detail instead of returning [Partial]. *)
-
-type recovery = State.recovery = {
-  r_result : run_result;  (** the final attempt's result *)
-  r_attempts : int;  (** run attempts made (1 = no recovery needed) *)
-  r_gave_up : bool;  (** a recoverable failure outlived the budget *)
-  r_reports : Mpisim.Sim.report list;  (** one per attempt, oldest first *)
-  r_penalty : float;  (** simulated backoff seconds charged before retries *)
-}
 
 val run_recovering :
   ?capture:string list ->

@@ -21,7 +21,7 @@ type case_result =
 let machines = [ Mpisim.Machine.meiko_cs2; Mpisim.Machine.enterprise_smp ]
 let procs = [ 1; 2; 3; 4 ]
 
-(* The non-default layouts, each run by the threaded-code engine at
+(* The non-default layouts, each run by the SPMD engine at
    P = 4 on the Meiko: a layout must leave every captured value as the
    interpreter has it.  They reach the cyclic row loops and the grid
    fallbacks of the run-time library. *)
@@ -175,12 +175,7 @@ let check_case ?(use_cc = true) (script : string) : case_result =
       | exception Interp.Eval.Runtime_error msg ->
           Discard ("interpreter: " ^ msg)
       | ref_run -> (
-          (* each configuration runs under BOTH execution engines — the
-             direct IR walker and the threaded-code fast path — so an
-             engine-specific semantic bug shows up as a counterexample
-             on exactly one of the two labels *)
-          let check_one ?layout ~label ~engine c machine nprocs =
-            let tag = Otter.Config.engine_name engine in
+          let check_one ?layout ~label c machine nprocs =
             let label =
               match layout with
               | None -> label
@@ -188,37 +183,30 @@ let check_case ?(use_cc = true) (script : string) : case_result =
             in
             match
               Otter.verify
-                (Otter.config ~engine ~machine ~nprocs ~capture ?layout ())
+                (Otter.config ~machine ~nprocs ~capture ?layout ())
                 c
             with
             | Otter.Verified -> None
             | Otter.Mismatched ms ->
                 let m = List.hd ms in
                 Some
-                  (Printf.sprintf "[%s, P=%d, %s, %s] %s: %s"
-                     machine.Mpisim.Machine.name nprocs label tag
-                     m.Otter.variable m.Otter.detail)
+                  (Printf.sprintf "[%s, P=%d, %s] %s: %s"
+                     machine.Mpisim.Machine.name nprocs label m.Otter.variable
+                     m.Otter.detail)
             | Otter.Aborted { failed_rank; operation; detail; _ } ->
                 Some
                   (Printf.sprintf
-                     "[%s, P=%d, %s, %s] rank %d failed during %s: %s"
-                     machine.Mpisim.Machine.name nprocs label tag failed_rank
+                     "[%s, P=%d, %s] rank %d failed during %s: %s"
+                     machine.Mpisim.Machine.name nprocs label failed_rank
                      operation detail)
             | exception Exec.Vm.Runtime_error msg ->
                 Some
-                  (Printf.sprintf "[%s, P=%d, %s, %s] VM run-time error: %s"
-                     machine.Mpisim.Machine.name nprocs label tag msg)
+                  (Printf.sprintf "[%s, P=%d, %s] VM run-time error: %s"
+                     machine.Mpisim.Machine.name nprocs label msg)
             | exception Mpisim.Sim.Deadlock msg ->
                 Some
-                  (Printf.sprintf "[%s, P=%d, %s, %s] deadlock: %s"
-                     machine.Mpisim.Machine.name nprocs label tag msg)
-          in
-          let check_config ~label c machine nprocs =
-            match
-              check_one ~label ~engine:Otter.Config.Etcode c machine nprocs
-            with
-            | Some _ as f -> f
-            | None -> check_one ~label ~engine:Otter.Config.Eir c machine nprocs
+                  (Printf.sprintf "[%s, P=%d, %s] deadlock: %s"
+                     machine.Mpisim.Machine.name nprocs label msg)
           in
           let vm_failure =
             List.fold_left
@@ -230,7 +218,7 @@ let check_case ?(use_cc = true) (script : string) : case_result =
                       (fun acc p ->
                         match acc with
                         | Some _ -> acc
-                        | None -> check_config ~label:"O2" c machine p)
+                        | None -> check_one ~label:"O2" c machine p)
                       None procs)
               None machines
           in
@@ -240,8 +228,7 @@ let check_case ?(use_cc = true) (script : string) : case_result =
                 match acc with
                 | Some _ -> acc
                 | None ->
-                    check_one ~layout ~label:"O2" ~engine:Otter.Config.Etcode c
-                      Mpisim.Machine.meiko_cs2 4)
+                    check_one ~layout ~label:"O2" c Mpisim.Machine.meiko_cs2 4)
               vm_failure layouts
           in
           (* the unoptimized pipeline against the same reference: both
@@ -260,7 +247,7 @@ let check_case ?(use_cc = true) (script : string) : case_result =
                         match acc with
                         | Some _ -> acc
                         | None ->
-                            check_config ~label:"O0" c0
+                            check_one ~label:"O0" c0
                               Mpisim.Machine.meiko_cs2 p)
                       None [ 1; 3 ])
           in

@@ -56,9 +56,9 @@ let compile_frontend ?path ?datadir (source : string) : frontend =
    so adding a knob is one field + one optional argument instead of a
    change to every entry point. *)
 module Config = struct
-  (* What executes the program: the two SPMD engines (bit-identical;
-     see [Exec.State]) and the two sequential baselines of Figure 2. *)
-  type engine = Etcode | Eir | Einterp | Ematcom
+  (* What executes the program: the SPMD engine ([Exec.Vm]) and the
+     two sequential baselines of Figure 2. *)
+  type engine = Etcode | Einterp | Ematcom
 
   type t = {
     machine : Mpisim.Machine.t;
@@ -77,14 +77,12 @@ module Config = struct
 
   let engine_of_string = function
     | "tcode" -> Some Etcode
-    | "ir" -> Some Eir
     | "interp" -> Some Einterp
     | "matcom" -> Some Ematcom
     | _ -> None
 
   let engine_name = function
     | Etcode -> "tcode"
-    | Eir -> "ir"
     | Einterp -> "interp"
     | Ematcom -> "matcom"
 
@@ -239,7 +237,7 @@ let report (c : compiled) : string =
 
 (* --- execution ------------------------------------------------------------ *)
 
-(* A sequential baseline's outcome in the engines' structured shape: a
+(* A sequential baseline's outcome in the SPMD engine's shape: a
    one-rank report whose makespan is the modeled sequential time. *)
 let outcome_of_interp (o : Interp.Eval.outcome) : Exec.State.outcome =
   let report : Mpisim.Sim.report =
@@ -316,7 +314,7 @@ let run (cfg : Config.t) (c : compiled) : Exec.State.recovery =
       in
       let o = Interp.Eval.run ~capture ~seed ~datadir ~mode ~machine c.ast in
       wrap_result (Exec.State.Complete (outcome_of_interp o))
-  | Config.Etcode | Config.Eir ->
+  | Config.Etcode ->
       (* The distribution policy is ambient state read at matrix
          creation: set it for the whole parallel run (checkpointed
          replays included) and restore it afterwards. *)
@@ -327,20 +325,12 @@ let run (cfg : Config.t) (c : compiled) : Exec.State.recovery =
         (fun () ->
           let recovering = ckpt_interval > 0. || max_recoveries > 0 in
           if recovering then
-            if engine = Config.Eir then
-              Exec.Vm.run_recovering ~capture ~seed ~datadir ~ckpt_interval
-                ~max_recoveries ~machine ~nprocs c.prog
-            else
-              Exec.Tcode.run_recovering ~capture ~seed ~datadir ~ckpt_interval
-                ~max_recoveries ~machine ~nprocs c.prog
+            Exec.Vm.run_recovering ~capture ~seed ~datadir ~ckpt_interval
+              ~max_recoveries ~machine ~nprocs c.prog
           else
             wrap_result
-              (if engine = Config.Eir then
-                 Exec.Vm.run_result ~capture ~seed ~datadir ~machine ~nprocs
-                   c.prog
-               else
-                 Exec.Tcode.run_result ~capture ~seed ~datadir ~machine ~nprocs
-                   c.prog))
+              (Exec.Vm.run_result ~capture ~seed ~datadir ~machine ~nprocs
+                 c.prog))
 
 (* The outcome of a recovery, or [Exec.Vm.Runtime_error] if the final
    attempt still failed — the raising entry point most callers want. *)
@@ -425,9 +415,9 @@ let all_variables (c : compiled) : string list =
 (* Run the reference interpreter and the compiled program under [cfg]
    and compare the captured variables (within [cfg.tol], which absorbs
    reduction-order rounding).  An empty [cfg.capture] means "every
-   inferred script variable".  The parallel leg uses [cfg]'s engine (a
-   sequential engine is promoted to the default SPMD engine — verifying
-   the interpreter against itself proves nothing).  When the parallel
+   inferred script variable".  The parallel leg always runs the SPMD
+   engine, whatever [cfg.engine] says: verifying the interpreter
+   against itself proves nothing.  When the parallel
    run dies — e.g. under an injected fault model without the reliable
    layer — the verdict is a structured [Aborted] naming the failing
    rank and operation rather than an exception.  Nonzero
@@ -439,12 +429,7 @@ let verify (cfg : Config.t) (c : compiled) : verdict =
   let capture =
     match cfg.Config.capture with [] -> all_variables c | cs -> cs
   in
-  let engine =
-    match cfg.Config.engine with
-    | Config.Einterp | Config.Ematcom -> Config.default_engine
-    | e -> e
-  in
-  let cfg = { cfg with Config.capture; engine } in
+  let cfg = { cfg with Config.capture; engine = Config.Etcode } in
   let ref_run =
     Interp.Eval.run ~capture ~seed:cfg.Config.seed ~datadir:cfg.Config.datadir
       ~mode:Interp.Cost.Interpreter ~machine:cfg.Config.machine c.ast

@@ -51,15 +51,12 @@ val compile_frontend :
     with {!config}; entry points take the whole record, so adding a
     knob never changes their signatures. *)
 module Config : sig
-  (** What executes the program: [Etcode] is the pre-decoded
-      threaded-code fast path (the default), [Eir] the IR-walking VM
-      kept as fallback and differential-testing foil — the two are
-      bit-identical (verified per release across every
-      app/machine/P/opt configuration) and share result types and the
-      checkpoint format through [Exec.State].  [Einterp] and [Ematcom]
-      are the sequential baselines of Figure 2 (the reference
-      interpreter under the interpreter / MATCOM cost model). *)
-  type engine = Etcode | Eir | Einterp | Ematcom
+  (** What executes the program: [Etcode] is the SPMD engine
+      ({!Exec.Vm}, pre-decoded threaded code; the default).  [Einterp]
+      and [Ematcom] are the sequential baselines of Figure 2 (the
+      reference interpreter under the interpreter / MATCOM cost
+      model). *)
+  type engine = Etcode | Einterp | Ematcom
 
   type t = {
     machine : Mpisim.Machine.t;
@@ -75,7 +72,7 @@ module Config : sig
         (** simulated seconds between checkpoints (0 = none) *)
     max_recoveries : int;  (** rollback/replay budget (0 = no retries) *)
     layout : Runtime.Dmat.layout;
-        (** the data-distribution policy for the SPMD engines: block
+        (** the data-distribution policy for the SPMD engine: block
             (the paper's layout, the default), block-cyclic, or 2-D
             grid.  Sequential baselines ignore it. *)
   }
@@ -83,7 +80,7 @@ module Config : sig
   val default_engine : engine
 
   val engine_of_string : string -> engine option
-  (** ["tcode"] / ["ir"] / ["interp"] / ["matcom"]. *)
+  (** ["tcode"] / ["interp"] / ["matcom"]. *)
 
   val engine_name : engine -> string
 
@@ -149,7 +146,7 @@ val pass_table : Spmd.Pass.record list -> string
     counts) from a {!compiled.passes} list. *)
 
 val run : Config.t -> compiled -> Exec.State.recovery
-(** Execute the compiled program under [cfg].  SPMD engines run on
+(** Execute the compiled program under [cfg].  The SPMD engine runs on
     [cfg.nprocs] simulated processors of [cfg.machine], wrapped in the
     coordinated checkpoint/rollback driver when
     [cfg.ckpt_interval]/[cfg.max_recoveries] ask for it; the
@@ -185,8 +182,8 @@ val verify : Config.t -> compiled -> verdict
 (** Run the reference interpreter and the compiled program under [cfg]
     and compare the captured variables; [cfg.tol] absorbs
     reduction-order rounding and [cfg.capture = []] compares every
-    inferred script variable.  The parallel leg uses [cfg.engine]
-    (sequential engines are promoted to the default SPMD engine).
+    inferred script variable.  The parallel leg always runs the SPMD
+    engine, whatever [cfg.engine] says.
     Never raises for a failing parallel run — it degrades to
     {!verdict.Aborted}.  Nonzero [cfg.ckpt_interval]/
     [cfg.max_recoveries] route the parallel run through

@@ -49,7 +49,6 @@ type draw = {
   chaos : bool;
   ckpt : float;
   recoveries : int;
-  engine : Otter.Config.engine;
 }
 
 let draw_gen =
@@ -60,18 +59,16 @@ let draw_gen =
   let* reliable = bool in
   let* chaos = bool in
   let* ckpt = mostly (oneofl [ 0.; 0.002; 0.05 ]) (oneofl [ -0.01; -1.; nan ]) in
-  let* recoveries = mostly (int_range 0 3) (int_range (-3) (-1)) in
-  let+ engine = oneofl Otter.Config.[ Etcode; Eir ] in
-  { nprocs; spec; reliable; chaos; ckpt; recoveries; engine }
+  let+ recoveries = mostly (int_range 0 3) (int_range (-3) (-1)) in
+  { nprocs; spec; reliable; chaos; ckpt; recoveries }
 
 let print_draw d =
-  Printf.sprintf "-p %d --faults %s%s%s --ckpt-interval %g --max-recoveries %d --engine %s"
+  Printf.sprintf "-p %d --faults %s%s%s --ckpt-interval %g --max-recoveries %d"
     d.nprocs
     (Option.value d.spec ~default:"(none)")
     (if d.reliable then " --reliable" else "")
     (if d.chaos then " --chaos" else "")
     d.ckpt d.recoveries
-    (Otter.Config.engine_name d.engine)
 
 let config_of d =
   let machine = Mpisim.Machine.meiko_cs2 in
@@ -85,7 +82,7 @@ let config_of d =
         else machine
       in
       match
-        Otter.config ~machine ~nprocs:d.nprocs ~engine:d.engine ~chaos:d.chaos
+        Otter.config ~machine ~nprocs:d.nprocs ~chaos:d.chaos
           ~ckpt_interval:d.ckpt ~max_recoveries:d.recoveries ()
       with
       | cfg -> Some cfg
@@ -242,6 +239,7 @@ let invalid_configs =
     [ "--ckpt-interval=-1" ];
     [ "--max-recoveries=-5" ];
     [ "-p"; "0" ];
+    [ "--engine"; "ir" ];
   ]
 
 let test_invalid_configs () =

@@ -1,17 +1,32 @@
 (* Explicit message passing: the MatlabMPI-style builtins
-   (MPI_Comm_rank/size, MPI_Send/Recv, MPI_Bcast, MPI_Probe) across
-   both SPMD engines, the reference interpreter, and the job
-   scheduler that space-shares ranks between tenants. *)
+   (MPI_Comm_rank/size, MPI_Send/Recv, MPI_Bcast, MPI_Probe) on the
+   SPMD engine and the reference interpreter, and the job scheduler
+   that space-shares ranks between tenants.
+
+   Tests named for engine agreement pin each cell's makespan (bit for
+   bit), message count and library-call count to the values two
+   independent engines (the threaded-code engine and a direct IR
+   walker, since retired) agreed on, so "engines agree" now means
+   agreeing with that recorded result. *)
 
 open Testutil
 
 let t name f = Alcotest.test_case name `Quick f
 
-let run_engine ~engine ?(machine = Mpisim.Machine.meiko_cs2) ~nprocs src =
+let run_spmd ?(machine = Mpisim.Machine.meiko_cs2) ~nprocs src =
   let c = compile src in
-  Otter.outcome_exn (Otter.run (Otter.config ~machine ~nprocs ~engine ()) c)
+  Otter.outcome_exn (Otter.run (Otter.config ~machine ~nprocs ()) c)
 
-(* --- pingpong: bit-identical across engines at P in {2,4,8} ------------- *)
+(* A run's deterministic counters against its pin: (makespan, messages,
+   library calls), the makespan compared bit for bit. *)
+let check_pin ~where (o : Exec.State.outcome) (span, msgs, calls) =
+  check Alcotest.string (where ^ " makespan") (Printf.sprintf "%h" span)
+    (Printf.sprintf "%h" o.Exec.State.report.Mpisim.Sim.makespan);
+  check Alcotest.int (where ^ " messages") msgs
+    o.Exec.State.report.Mpisim.Sim.messages;
+  check Alcotest.int (where ^ " lib calls") calls o.Exec.State.lib_calls
+
+(* --- pingpong: pinned at P in {2,4,8} ------------------------------------ *)
 
 let pingpong_src =
   {|r = MPI_Comm_rank();
@@ -38,23 +53,27 @@ total = MPI_Bcast(0, total);
 fprintf('pingpong total = %d\n', total);
 |}
 
+(* (P, makespan, messages, library calls) *)
+let pingpong_pins =
+  [
+    (2, 0x1.002569c6ee108p-10, 17, 19);
+    (4, 0x1.067006a332499p-10, 19, 19);
+    (8, 0x1.1305405bbabbbp-10, 23, 19);
+  ]
+
 let test_pingpong_engines () =
   List.iter
-    (fun nprocs ->
-      let a = run_engine ~engine:Otter.Config.Etcode ~nprocs pingpong_src in
-      let b = run_engine ~engine:Otter.Config.Eir ~nprocs pingpong_src in
+    (fun (nprocs, span, msgs, calls) ->
+      let a = run_spmd ~nprocs pingpong_src in
       check Alcotest.string
         (Printf.sprintf "pingpong output P=%d" nprocs)
         "pingpong total = 72\n" a.Exec.State.output;
-      check Alcotest.string
-        (Printf.sprintf "engines agree P=%d" nprocs)
-        a.Exec.State.output b.Exec.State.output;
-      (* the simulated timelines must agree too: same traffic, same clock *)
-      check Alcotest.int
-        (Printf.sprintf "same message count P=%d" nprocs)
-        a.Exec.State.report.Mpisim.Sim.messages
-        b.Exec.State.report.Mpisim.Sim.messages)
-    [ 2; 4; 8 ]
+      (* the simulated timeline is pinned too: same traffic, same clock *)
+      check_pin ~where:(Printf.sprintf "pingpong P=%d" nprocs) a
+        (span, msgs, calls))
+    pingpong_pins;
+  let out, _ = run_interp pingpong_src in
+  check Alcotest.string "interpreter pingpong" "pingpong total = 72\n" out
 
 (* --- self-send: a rank's loopback queue ---------------------------------- *)
 
@@ -70,7 +89,7 @@ fprintf('%d\n', a + b);
   in
   List.iter
     (fun nprocs ->
-      let o = run_engine ~engine:Otter.Config.Etcode ~nprocs src in
+      let o = run_spmd ~nprocs src in
       check Alcotest.string
         (Printf.sprintf "FIFO self-send P=%d" nprocs)
         "42\n" o.Exec.State.output)
@@ -134,19 +153,26 @@ total = MPI_Bcast(0, total);
 fprintf('any-source gather: total = %d leftover = %d\n', total, leftover);
 |}
 
+(* (P, makespan, messages, library calls) *)
+let anysrc_pins =
+  [
+    (1, 0x1.172c417c771fp-21, 0, 4);
+    (2, 0x1.e3dadb5855d78p-14, 2, 5);
+    (4, 0x1.56ed21abf73f5p-13, 6, 7);
+    (8, 0x1.107644d5c7f33p-12, 14, 11);
+  ]
+
 let test_any_source_gather () =
   let expected = "any-source gather: total = 2080 leftover = 0\n" in
   List.iter
-    (fun nprocs ->
-      let a = run_engine ~engine:Otter.Config.Etcode ~nprocs anysrc_src in
-      let b = run_engine ~engine:Otter.Config.Eir ~nprocs anysrc_src in
+    (fun (nprocs, span, msgs, calls) ->
+      let a = run_spmd ~nprocs anysrc_src in
       check Alcotest.string
         (Printf.sprintf "any-source gather P=%d" nprocs)
         expected a.Exec.State.output;
-      check Alcotest.string
-        (Printf.sprintf "engines agree P=%d" nprocs)
-        a.Exec.State.output b.Exec.State.output)
-    [ 1; 2; 4; 8 ];
+      check_pin ~where:(Printf.sprintf "any-source gather P=%d" nprocs) a
+        (span, msgs, calls))
+    anysrc_pins;
   let out, _ = run_interp anysrc_src in
   check Alcotest.string "interpreter (any source = source 0)" expected out
 
@@ -281,7 +307,7 @@ let test_mixed_matrix () =
         mixed_machines)
     mixed_apps
 
-(* --- example apps: engines bit-identical at P in {2,4,8} ----------------- *)
+(* --- example apps: pinned at P in {2,4,8} -------------------------------- *)
 
 let examples_dir =
   lazy
@@ -300,35 +326,33 @@ let read_file path =
   close_in ic;
   s
 
+(* (file, P, makespan, messages, library calls) *)
+let example_pins =
+  [
+    ("pingpong.m", 2, 0x1.002569c6ee108p-10, 17, 19);
+    ("pingpong.m", 4, 0x1.067006a332499p-10, 19, 19);
+    ("pingpong.m", 8, 0x1.1305405bbabbbp-10, 23, 19);
+    ("mpi_filter.m", 2, 0x1.04069fd74b552p-9, 5, 139);
+    ("mpi_filter.m", 4, 0x1.f11be187efcd2p-10, 19, 81);
+    ("mpi_filter.m", 8, 0x1.12af5a2031f95p-9, 71, 61);
+    ("mpi_anysrc.m", 2, 0x1.e3dadb5855d78p-14, 2, 5);
+    ("mpi_anysrc.m", 4, 0x1.56ed21abf73f5p-13, 6, 7);
+    ("mpi_anysrc.m", 8, 0x1.107644d5c7f33p-12, 14, 11);
+  ]
+
 let test_examples_bit_identical () =
   match Lazy.force examples_dir with
   | None -> () (* sandboxed without sources *)
   | Some dir ->
       List.iter
-        (fun file ->
+        (fun (file, nprocs, span, msgs, calls) ->
           let src = read_file (Filename.concat dir file) in
-          let c = compile src in
-          List.iter
-            (fun nprocs ->
-              let run engine =
-                Otter.outcome_exn
-                  (Otter.run (Otter.config ~nprocs ~engine ()) c)
-              in
-              let a = run Otter.Config.Etcode in
-              let b = run Otter.Config.Eir in
-              check Alcotest.string
-                (Printf.sprintf "%s output P=%d" file nprocs)
-                a.Exec.State.output b.Exec.State.output;
-              check Alcotest.int
-                (Printf.sprintf "%s messages P=%d" file nprocs)
-                a.Exec.State.report.Mpisim.Sim.messages
-                b.Exec.State.report.Mpisim.Sim.messages;
-              checkf
-                (Printf.sprintf "%s makespan P=%d" file nprocs)
-                a.Exec.State.report.Mpisim.Sim.makespan
-                b.Exec.State.report.Mpisim.Sim.makespan)
-            [ 2; 4; 8 ])
-        [ "pingpong.m"; "mpi_filter.m"; "mpi_anysrc.m" ]
+          let o = run_spmd ~nprocs src in
+          let where = Printf.sprintf "%s P=%d" file nprocs in
+          check Alcotest.string (where ^ " output = interpreter's")
+            (fst (run_interp src)) o.Exec.State.output;
+          check_pin ~where o (span, msgs, calls))
+        example_pins
 
 (* --- bandwidth is monotone in message size ------------------------------- *)
 

@@ -1,16 +1,20 @@
-(* The threaded-code execution engine (the default fast path):
+(* The SPMD execution engine ([Exec.Vm], pre-decoded threaded code):
 
    - golden decode listings: one exact-text check per IR opcode family,
      so a decode change is a conscious golden update, not an accident;
    - frame-slot aliasing hazards: interned array slots must preserve
      value semantics (copies are copies) and zero-trip loops must not
      leak or clobber slots that copy propagation style rewrites alias;
-   - the engine-equivalence acceptance matrix: every benchmark app at
-     P in {2,4,8} on all three paper machines runs bit-identically on
-     tcode and the ir-walking VM (same output, captures, makespan and
-     message count), and verifies against the reference interpreter;
+   - the acceptance matrix: every benchmark app at P in {2,4,8} on all
+     three paper machines reproduces its pinned makespan (bit-exact),
+     message count and library-call count, and verifies against the
+     reference interpreter.  The pins are the cells two independent
+     engines (this one and a direct IR walker, since retired) agreed on
+     bit for bit, so "engines identical" now means identical to that
+     recorded agreement;
    - chaos recovery: a seeded mid-run rank kill recovers to the exact
-     fault-free answer on both engines, for every app. *)
+     fault-free answer for every app, with pinned clean and recovered
+     cells. *)
 
 open Testutil
 module Machine = Mpisim.Machine
@@ -21,7 +25,7 @@ let t name f = Alcotest.test_case name `Quick f
 (* --- golden decode listings --------------------------------------------- *)
 
 let check_listing name src expected =
-  let got = Exec.Tcode.listing (Otter.compile src).Otter.prog in
+  let got = Exec.Vm.listing (Otter.compile src).Otter.prog in
   Alcotest.(check string) name expected got
 
 let test_decode_scalar_flow () =
@@ -174,10 +178,73 @@ let test_zero_trip_slots () =
   | exception Exec.Vm.Runtime_error _ -> ()
   | _ -> Alcotest.fail "undefined read after zero-trip loop must error"
 
-(* --- the engine-equivalence acceptance matrix --------------------------- *)
+(* --- the acceptance matrix --------------------------------------------- *)
 
 let machines =
   [ Machine.meiko_cs2; Machine.enterprise_smp; Machine.sparc20_cluster ]
+
+let machine_named name =
+  List.find (fun m -> m.Machine.name = name) machines
+
+(* (machine, P, makespan, messages, library calls) per app, at scale 4:
+   the values both engines produced bit-identically before the IR
+   walker was retired. *)
+let matrix_pins =
+  [
+    ("cg", [
+      ("Meiko CS-2", 2, 0x1.8eff8cbd931dfp-6, 310, 159);
+      ("Meiko CS-2", 4, 0x1.d756938a8be2bp-6, 1452, 159);
+      ("Meiko CS-2", 8, 0x1.5fa08f013a403p-5, 5416, 159);
+      ("Sun Enterprise SMP", 2, 0x1.b4fc3d4475c17p-7, 310, 159);
+      ("Sun Enterprise SMP", 4, 0x1.10a2b5b9ea429p-7, 1452, 159);
+      ("Sun Enterprise SMP", 8, 0x1.ba2ded495beffp-8, 5416, 159);
+      ("SPARC-20 SMP cluster", 2, 0x1.ce18fd2707a6dp-6, 310, 159);
+      ("SPARC-20 SMP cluster", 4, 0x1.4d216297ec5d9p-6, 1452, 159);
+      ("SPARC-20 SMP cluster", 8, 0x1.cbb2e69caca7bp-3, 5416, 159);
+    ]);
+    ("ocean", [
+      ("Meiko CS-2", 2, 0x1.a8ef77f27fe49p-10, 20, 13);
+      ("Meiko CS-2", 4, 0x1.20d48bddef33dp-9, 82, 13);
+      ("Meiko CS-2", 8, 0x1.aa3afc8043b23p-9, 294, 13);
+      ("Sun Enterprise SMP", 2, 0x1.852f4f90c07d8p-11, 20, 13);
+      ("Sun Enterprise SMP", 4, 0x1.a348e65297f43p-11, 82, 13);
+      ("Sun Enterprise SMP", 8, 0x1.94704d1083c4cp-10, 294, 13);
+      ("SPARC-20 SMP cluster", 2, 0x1.8c0404c76504p-10, 20, 13);
+      ("SPARC-20 SMP cluster", 4, 0x1.b54444fe61c57p-10, 82, 13);
+      ("SPARC-20 SMP cluster", 8, 0x1.472534b48447cp-4, 294, 13);
+    ]);
+    ("nbody", [
+      ("Meiko CS-2", 2, 0x1.137ab1211fb68p-8, 51, 33);
+      ("Meiko CS-2", 4, 0x1.1ede92720803fp-8, 205, 33);
+      ("Meiko CS-2", 8, 0x1.5de6e5fda053fp-8, 629, 33);
+      ("Sun Enterprise SMP", 2, 0x1.39fc03c2443c8p-9, 51, 33);
+      ("Sun Enterprise SMP", 4, 0x1.6e861f51756edp-10, 205, 33);
+      ("Sun Enterprise SMP", 8, 0x1.0211b1a972b55p-10, 629, 33);
+      ("SPARC-20 SMP cluster", 2, 0x1.4b50a7ffd57f8p-8, 51, 33);
+      ("SPARC-20 SMP cluster", 4, 0x1.b48d49378fc99p-9, 205, 33);
+      ("SPARC-20 SMP cluster", 8, 0x1.ace386b0ed005p-6, 629, 33);
+    ]);
+    ("tc", [
+      ("Meiko CS-2", 2, 0x1.3e7129e3d4255p-9, 16, 8);
+      ("Meiko CS-2", 4, 0x1.462781a42f74cp-9, 88, 8);
+      ("Meiko CS-2", 8, 0x1.da480a85bff25p-9, 384, 8);
+      ("Sun Enterprise SMP", 2, 0x1.95f4c96b187ccp-10, 16, 8);
+      ("Sun Enterprise SMP", 4, 0x1.0f13c8f2c4072p-10, 88, 8);
+      ("Sun Enterprise SMP", 8, 0x1.26196f3ccebdcp-10, 384, 8);
+      ("SPARC-20 SMP cluster", 2, 0x1.9bcd50804b14p-9, 16, 8);
+      ("SPARC-20 SMP cluster", 4, 0x1.10889caa7e7cfp-9, 88, 8);
+      ("SPARC-20 SMP cluster", 8, 0x1.38a8f0156ded9p-5, 384, 8);
+    ]);
+  ]
+
+(* A cell's deterministic counters, the makespan compared bit for bit. *)
+let check_cell ~where (o : Exec.Vm.outcome) (span, msgs, calls) =
+  Alcotest.(check string)
+    (where ^ ": makespan")
+    (Printf.sprintf "%h" span)
+    (Printf.sprintf "%h" o.report.Sim.makespan);
+  Alcotest.(check int) (where ^ ": messages") msgs o.report.Sim.messages;
+  Alcotest.(check int) (where ^ ": lib calls") calls o.lib_calls
 
 let eq_captured (a : Exec.Vm.captured) (b : Exec.Vm.captured) =
   let eqf (x : float) (y : float) =
@@ -189,61 +256,34 @@ let eq_captured (a : Exec.Vm.captured) (b : Exec.Vm.captured) =
       r1 = r2 && c1 = c2 && Array.for_all2 eqf d1 d2
   | _ -> false
 
-let check_outcomes_identical ~where (a : Exec.Vm.outcome)
-    (b : Exec.Vm.outcome) =
-  Alcotest.(check string) (where ^ ": output") a.output b.output;
-  checkf (where ^ ": makespan") a.report.Sim.makespan b.report.Sim.makespan;
-  Alcotest.(check int)
-    (where ^ ": messages")
-    a.report.Sim.messages b.report.Sim.messages;
-  Alcotest.(check int)
-    (where ^ ": lib calls")
-    a.lib_calls b.lib_calls;
-  List.iter
-    (fun (name, v) ->
-      match List.assoc_opt name b.Exec.Vm.captures with
-      | Some w when eq_captured v w -> ()
-      | Some _ -> Alcotest.failf "%s: capture %s differs" where name
-      | None -> Alcotest.failf "%s: capture %s missing" where name)
-    a.Exec.Vm.captures
-
-(* One app across P in {2,4,8} on all three machines: the decoded
-   engine must be bit-identical to the ir-walking VM and verify against
-   the reference interpreter. *)
+(* One app across P in {2,4,8} on all three machines: every cell must
+   match its pin and verify against the reference interpreter. *)
 let engines_identical key () =
   let app =
     match Apps.Scripts.find key with Some a -> a | None -> assert false
   in
   let c = Otter.compile (app.source 4) in
   List.iter
-    (fun m ->
-      List.iter
-        (fun p ->
-          let where = Printf.sprintf "%s P=%d on %s" key p m.Machine.name in
-          let run_with engine =
-            Otter.outcome_exn
-              (Otter.run
-                 (Otter.config ~engine ~capture:app.capture ~machine:m
-                    ~nprocs:p ())
-                 c)
-          in
-          let ir = run_with Otter.Config.Eir in
-          let tc = run_with Otter.Config.Etcode in
-          check_outcomes_identical ~where ir tc;
-          match
-            Otter.verify_list
-              (Otter.config ~engine:Otter.Config.Etcode ~tol:1e-6 ~machine:m
-                 ~nprocs:p ~capture:app.capture ())
-              c
-          with
-          | [] -> ()
-          | ms ->
-              Alcotest.failf "%s: %d interpreter mismatches" where
-                (List.length ms))
-        [ 2; 4; 8 ])
-    machines
+    (fun (mname, p, span, msgs, calls) ->
+      let m = machine_named mname in
+      let where = Printf.sprintf "%s P=%d on %s" key p mname in
+      check_cell ~where
+        (Otter.outcome_exn
+           (Otter.run
+              (Otter.config ~capture:app.capture ~machine:m ~nprocs:p ())
+              c))
+        (span, msgs, calls);
+      match
+        Otter.verify_list
+          (Otter.config ~tol:1e-6 ~machine:m ~nprocs:p ~capture:app.capture ())
+          c
+      with
+      | [] -> ()
+      | ms ->
+          Alcotest.failf "%s: %d interpreter mismatches" where (List.length ms))
+    (List.assoc key matrix_pins)
 
-(* --- chaos recovery on both engines ------------------------------------- *)
+(* --- chaos recovery ----------------------------------------------------- *)
 
 let faults spec =
   match Machine.faults_of_spec spec with
@@ -257,64 +297,68 @@ let killer ~at ~detect m =
          (Printf.sprintf "kill_rank=1,kill_time=%g,detect=%g,seed=7" at detect))
     m
 
-(* A seeded mid-run rank kill on the default machine at P=4: both
-   engines must recover to the exact fault-free answer. *)
+(* (app, clean cell, attempts, recovered cell) on the Meiko at P=4,
+   pinned like [matrix_pins]. *)
+let chaos_pins =
+  [
+    ("cg", (0x1.d756938a8be2bp-6, 1452, 159), 2, (0x1.e729c54b4e328p-5, 3616, 159));
+    ("ocean", (0x1.20d48bddef33dp-9, 82, 13), 2, (0x1.6070831fda8f4p-7, 676, 13));
+    ("nbody", (0x1.1ede92720803fp-8, 205, 33), 2, (0x1.2282e1c72fd59p-6, 1114, 33));
+    ("tc", (0x1.462781a42f74cp-9, 88, 8), 2, (0x1.9adc64c55181ep-8, 352, 8));
+  ]
+
+(* A seeded mid-run rank kill on the default machine at P=4 must roll
+   back and recover to the exact fault-free answer. *)
 let chaos_recovers key () =
   let app =
     match Apps.Scripts.find key with Some a -> a | None -> assert false
   in
+  let clean_pin, attempts_pin, recovered_pin =
+    match List.find_opt (fun (k, _, _, _) -> k = key) chaos_pins with
+    | Some (_, c, a, r) -> (c, a, r)
+    | None -> assert false
+  in
   let c = Otter.compile (app.source 4) in
   let m = Machine.meiko_cs2 in
-  List.iter
-    (fun engine ->
-      let where =
-        Printf.sprintf "%s under --chaos [%s]" key
-          (Otter.Config.engine_name engine)
-      in
-      let clean =
-        Otter.outcome_exn
-          (Otter.run
-             (Otter.config ~engine ~capture:app.capture ~machine:m ~nprocs:4 ())
-             c)
-      in
-      let span = clean.Exec.Vm.report.Sim.makespan in
-      let rc =
-        Otter.run
-          (Otter.config ~engine ~capture:app.capture
-             ~ckpt_interval:(Float.max 1e-6 (span *. 0.08))
-             ~max_recoveries:3
-             ~machine:
-               (killer ~at:(span *. 0.3)
-                  ~detect:(Float.max 0.01 (span *. 0.05))
-                  m)
-             ~nprocs:4 ())
-          c
-      in
-      (match rc.Exec.Vm.r_reports with
-      | first :: _ ->
-          Alcotest.(check int) (where ^ ": kill fired") 1 first.Sim.kills
-      | [] -> Alcotest.failf "%s: no attempt reports" where);
-      Alcotest.(check bool)
-        (where ^ ": rolled back")
-        true
-        (rc.Exec.Vm.r_attempts >= 2);
-      match rc.Exec.Vm.r_result with
-      | Exec.Vm.Complete out ->
-          Alcotest.(check string) (where ^ ": output") clean.output out.output;
-          List.iter
-            (fun (name, v) ->
-              match List.assoc_opt name out.Exec.Vm.captures with
-              | Some w when eq_captured v w -> ()
-              | Some _ ->
-                  Alcotest.failf "%s: capture %s differs after recovery" where
-                    name
-              | None ->
-                  Alcotest.failf "%s: capture %s lost after recovery" where
-                    name)
-            clean.Exec.Vm.captures
-      | Exec.Vm.Partial { detail; _ } ->
-          Alcotest.failf "%s: did not recover: %s" where detail)
-    [ Otter.Config.Eir; Otter.Config.Etcode ]
+  let where = Printf.sprintf "%s under --chaos" key in
+  let clean =
+    Otter.outcome_exn
+      (Otter.run
+         (Otter.config ~capture:app.capture ~machine:m ~nprocs:4 ())
+         c)
+  in
+  check_cell ~where:(where ^ " (clean)") clean clean_pin;
+  let span = clean.Exec.Vm.report.Sim.makespan in
+  let rc =
+    Otter.run
+      (Otter.config ~capture:app.capture
+         ~ckpt_interval:(Float.max 1e-6 (span *. 0.08))
+         ~max_recoveries:3
+         ~machine:
+           (killer ~at:(span *. 0.3) ~detect:(Float.max 0.01 (span *. 0.05)) m)
+         ~nprocs:4 ())
+      c
+  in
+  (match rc.Exec.Vm.r_reports with
+  | first :: _ ->
+      Alcotest.(check int) (where ^ ": kill fired") 1 first.Sim.kills
+  | [] -> Alcotest.failf "%s: no attempt reports" where);
+  Alcotest.(check int) (where ^ ": attempts") attempts_pin rc.Exec.Vm.r_attempts;
+  match rc.Exec.Vm.r_result with
+  | Exec.Vm.Complete out ->
+      check_cell ~where:(where ^ " (recovered)") out recovered_pin;
+      Alcotest.(check string) (where ^ ": output") clean.output out.output;
+      List.iter
+        (fun (name, v) ->
+          match List.assoc_opt name out.Exec.Vm.captures with
+          | Some w when eq_captured v w -> ()
+          | Some _ ->
+              Alcotest.failf "%s: capture %s differs after recovery" where name
+          | None ->
+              Alcotest.failf "%s: capture %s lost after recovery" where name)
+        clean.Exec.Vm.captures
+  | Exec.Vm.Partial { detail; _ } ->
+      Alcotest.failf "%s: did not recover: %s" where detail
 
 let suite =
   [
